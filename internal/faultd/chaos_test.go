@@ -3,6 +3,7 @@ package faultd
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"brsmn/internal/groupd"
 	"brsmn/internal/mcast"
 	"brsmn/internal/rbn"
+	"brsmn/internal/sched"
 	"brsmn/internal/swbox"
 )
 
@@ -317,5 +319,131 @@ func TestChaosConcurrentChurn(t *testing.T) {
 	}
 	if rep := gm.LastEpoch(); rep == nil || rep.Err != "" {
 		t.Fatalf("final epoch report = %+v", rep)
+	}
+}
+
+// TestChaosIncrementalEpochCounters pins the fault-path side effects of
+// incremental epochs. With a localized fault degrading some rounds, two
+// consecutive epochs must leave the monitor's DegradedReplans and
+// quarantined outputs exactly where a full sweep leaves a twin monitor:
+// a degraded round is re-filtered every epoch, never reused. The twin
+// shares the injector and is probed in lockstep, and it mirrors the
+// epoch's per-group replans, which the first epoch after localization
+// makes for every group (its plan-cache keys carry the new version).
+func TestChaosIncrementalEpochCounters(t *testing.T) {
+	const n = 16
+	inj := NewInjector(11)
+	newMon := func() *Monitor {
+		mon, err := NewMonitor(Config{N: n, Engine: rbn.Sequential, ProbeCount: 4}, inj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mon
+	}
+	mon, ref := newMon(), newMon()
+	gm, err := groupd.NewManager(groupd.Config{N: n, Engine: rbn.Sequential, Workers: 2, Policy: mon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gm.Close()
+	rng := rand.New(rand.NewSource(7))
+	for g := 0; g < 6; g++ {
+		if _, err := gm.Create(fmt.Sprintf("g%d", g), rng.Intn(n/2), rng.Perm(n)[:1+rng.Intn(4)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wide := make([]int, 0, n-2)
+	for d := 2; d < n; d++ {
+		wide = append(wide, d)
+	}
+	if _, err := gm.Create("wide", n-1, wide); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gm.RunEpoch(); err != nil { // clean: nothing filtered
+		t.Fatal(err)
+	}
+
+	for _, s := range []swbox.Setting{swbox.Parallel, swbox.Cross} {
+		inj.Clear()
+		inj.Add(Fault{Kind: StuckAt, Col: 5, Switch: 3, Stuck: s})
+		for i := 0; i < 3 && !mon.Stats().Detected; i++ {
+			for _, mn := range []*Monitor{mon, ref} {
+				if _, err := mn.RunProbes(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if mon.Stats().Detected {
+			break
+		}
+	}
+	if !mon.Stats().Detected || mon.Version() != ref.Version() {
+		t.Fatalf("fault not localized in lockstep: %+v / %+v", mon.Stats(), ref.Stats())
+	}
+
+	// fullSweep filters every round of the registry's schedule through
+	// ref, plus each group's standalone assignment when replans is set.
+	fullSweep := func(replans bool) (rejected [][]int) {
+		var reqs []sched.Request
+		for _, g := range gm.List() {
+			if g.Size == 0 {
+				continue
+			}
+			reqs = append(reqs, sched.Request{Source: g.Source, Dests: g.Members})
+			if replans {
+				dests := make([][]int, n)
+				dests[g.Source] = g.Members
+				ref.FilterAssignment(mcast.MustNew(n, dests))
+			}
+		}
+		roundIdx, err := sched.ScheduleIndices(n, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds := make([][]sched.Request, len(roundIdx))
+		for r, members := range roundIdx {
+			for _, k := range members {
+				rounds[r] = append(rounds[r], reqs[k])
+			}
+		}
+		as, err := sched.Assignments(n, rounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range as {
+			_, rej := ref.FilterAssignment(a)
+			rejected = append(rejected, rej)
+		}
+		return rejected
+	}
+
+	for e, replans := range []bool{true, false} {
+		rep, err := gm.RunEpoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fullSweep(replans)
+		if len(rep.Rounds) != len(want) {
+			t.Fatalf("epoch %d: %d rounds, full sweep %d", e, len(rep.Rounds), len(want))
+		}
+		degraded := 0
+		for r, rr := range rep.Rounds {
+			if !reflect.DeepEqual(rr.Rejected, want[r]) {
+				t.Fatalf("epoch %d round %d rejected %v, full sweep %v", e, r, rr.Rejected, want[r])
+			}
+			if len(want[r]) > 0 {
+				degraded++
+			}
+		}
+		if degraded == 0 || rep.DegradedRounds != degraded {
+			t.Fatalf("epoch %d: %d degraded rounds reported, full sweep %d", e, rep.DegradedRounds, degraded)
+		}
+		got, exp := mon.Stats(), ref.Stats()
+		if got.DegradedReplans != exp.DegradedReplans || got.QuarantinedOuts != exp.QuarantinedOuts {
+			t.Fatalf("epoch %d: monitor %+v, full-sweep monitor %+v", e, got, exp)
+		}
+		if q, qr := mon.Report().Quarantined, ref.Report().Quarantined; !reflect.DeepEqual(q, qr) {
+			t.Fatalf("epoch %d: quarantined outputs %v, full sweep %v", e, q, qr)
+		}
 	}
 }

@@ -2,10 +2,13 @@ package groupd
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"brsmn"
+	"brsmn/internal/obs"
 	"brsmn/internal/rbn"
 )
 
@@ -89,6 +92,58 @@ func BenchmarkJoinLeave(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkRunEpochSteady is one steady-state epoch at n = 1024: 2,000
+// groups (seeded sizes 1-16, sources drawn at random, so the schedule
+// has real conflicts) with one join or leave between epochs. It prices
+// the whole epoch — schedule, the rounds the previous epoch did not
+// already route, and the per-group plan-cache pass with one replan.
+func BenchmarkRunEpochSteady(b *testing.B) {
+	const (
+		n      = 1024
+		groups = 2000
+	)
+	m, err := NewManager(Config{N: n, Engine: rbn.Sequential, CacheSize: 4096, Metrics: obs.NewRegistry()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { m.Close() })
+	rng := rand.New(rand.NewSource(1))
+	for g := 0; g < groups; g++ {
+		if _, err := m.Create(fmt.Sprintf("g%d", g), rng.Intn(n), rng.Perm(n)[:1+rng.Intn(16)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := m.RunEpoch(); err != nil { // route every round, fill the cache
+		b.Fatal(err)
+	}
+	info, err := m.Get("g0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := 0 // an output g0 does not serve, toggled in and out
+	for slices.Contains(info.Members, d) {
+		d++
+	}
+	routed0, reused0 := m.met.roundsRouted.Value(), m.met.roundsReused.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			_, err = m.Join("g0", d)
+		} else {
+			_, err = m.Leave("g0", d)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.RunEpoch(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(m.met.roundsRouted.Value()-routed0)/float64(b.N), "routed/op")
+	b.ReportMetric(float64(m.met.roundsReused.Value()-reused0)/float64(b.N), "reused/op")
 }
 
 // TestWarmPlanSpeedup pins the acceptance bar: at n = 1024, rerouting an

@@ -1,6 +1,7 @@
 package groupd
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -12,7 +13,8 @@ import (
 
 // RoundReport is one conflict-free round of an epoch: the groups it
 // carries and the resulting per-output delivery vector (the source input
-// delivered at each output, -1 idle).
+// delivered at each output, -1 idle). A round reused from the previous
+// epoch shares that epoch's Deliveries slice, so reports are read-only.
 type RoundReport struct {
 	GroupIDs   []string `json:"groupIds"`
 	Deliveries []int    `json:"deliveries"`
@@ -41,22 +43,47 @@ type EpochReport struct {
 	Err string `json:"err,omitempty"`
 }
 
+// roundMemo is the previous epoch's healthy routed rounds, keyed by
+// round content (see roundKey) and valid only at one fault-policy
+// version. RunEpoch replaces it wholesale every epoch, so it never
+// holds more than one epoch's rounds; epochMu guards it.
+type roundMemo struct {
+	version uint64
+	rows    map[string][]int // round content -> Deliveries
+}
+
 // RunEpoch executes one reroute epoch synchronously: snapshot the live
 // groups, partition them into conflict-free rounds, route every round
-// through the network (rounds run on Config.Workers concurrent
-// routings), and refresh the plan cache — changed groups replan, the
-// rest hit. Epochs are serialized; membership changes landing mid-epoch
-// count toward the next one.
+// the previous epoch did not already route (rounds run on
+// Config.Workers concurrent routings), and refresh the plan cache —
+// changed groups replan, the rest hit. Epochs are serialized;
+// membership changes landing mid-epoch count toward the next one.
 func (m *Manager) RunEpoch() (*EpochReport, error) {
 	if m.closed.Load() {
 		return nil, ErrClosed
 	}
 	m.epochMu.Lock()
 	defer m.epochMu.Unlock()
+	if m.closed.Load() { // Close released the memo while we waited
+		return nil, ErrClosed
+	}
 	start := time.Now()
 	m.pending.Store(0)
+	return m.epochOver(start, m.snapshot())
+}
 
-	snaps := m.snapshot()
+// epochOver runs the epoch body over a frozen snapshot; the caller
+// holds epochMu.
+//
+// The schedule always covers every live group, so the report lists the
+// same rounds a full sweep would. Routing is incremental: a round whose
+// content the previous epoch routed, at the same policy version and
+// without rejections, reuses that epoch's deliveries. The router and a
+// filter that rejects nothing are both deterministic, so the reused row
+// is the row a fresh routing would produce. Degraded rounds are never
+// memoized: the policy's filter keeps counters and a quarantined set,
+// so they re-filter and re-route every epoch.
+func (m *Manager) epochOver(start time.Time, snaps []groupSnapshot) (*EpochReport, error) {
 	live := snaps[:0]
 	for _, sn := range snaps {
 		if len(sn.members) > 0 {
@@ -71,51 +98,89 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("groupd: epoch scheduling: %w", err)
 	}
-	rounds := make([][]sched.Request, len(roundIdx))
-	ids := make([][]string, len(roundIdx))
-	for r, members := range roundIdx {
-		for _, k := range members {
-			rounds[r] = append(rounds[r], reqs[k])
-			ids[r] = append(ids[r], live[k].id)
-		}
-	}
-	as, err := sched.Assignments(m.cfg.N, rounds)
-	if err != nil {
-		return nil, fmt.Errorf("groupd: epoch round assembly: %w", err)
-	}
-	// Quarantine is a per-round decision: whether a connection survives a
-	// fault depends on the whole round's switch settings, so the policy
-	// filters each combined assignment, not each group.
-	rejected := make([][]int, len(as))
-	if m.cfg.Policy != nil {
-		for r := range as {
-			as[r], rejected[r] = m.cfg.Policy.FilterAssignment(as[r])
-		}
-	}
-	routed, err := controller.RouteAllOn(m.nw, as, m.cfg.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("groupd: epoch routing: %w", err)
-	}
 
+	pv := m.policyVersion()
+	prev := m.memo.rows
+	if m.memo.version != pv {
+		prev = nil
+	}
+	next := make(map[string][]int, len(roundIdx))
 	rep := &EpochReport{
 		When:   start,
 		Groups: len(live),
-		Rounds: make([]RoundReport, len(routed)),
+		Rounds: make([]RoundReport, len(roundIdx)),
 	}
-	for r, sr := range routed {
-		if sr.Err != nil {
-			return nil, fmt.Errorf("groupd: epoch round %d: %w", r, sr.Err)
+	owner := make([]int, m.cfg.N)
+	for i := range owner {
+		owner[i] = -1
+	}
+	var (
+		key        []byte
+		missIdx    []int    // rounds to route, by report index
+		missKeys   []string // their content keys
+		missRounds [][]sched.Request
+	)
+	for r, members := range roundIdx {
+		ids := make([]string, len(members))
+		for i, k := range members {
+			ids[i] = live[k].id
 		}
-		vec := make([]int, m.cfg.N)
-		for out, d := range sr.Res.Deliveries {
-			vec[out] = d.Source
+		rep.Rounds[r].GroupIDs = ids
+		key = roundKey(key[:0], owner, reqs, members)
+		if vec, ok := prev[string(key)]; ok {
+			rep.Rounds[r].Deliveries = vec
+			next[string(key)] = vec
+			continue
 		}
-		rep.Rounds[r] = RoundReport{GroupIDs: ids[sr.Index], Deliveries: vec, Rejected: rejected[sr.Index]}
-		if len(rejected[sr.Index]) > 0 {
-			rep.Quarantined += len(rejected[sr.Index])
-			rep.DegradedRounds++
+		round := make([]sched.Request, len(members))
+		for i, k := range members {
+			round[i] = reqs[k]
+		}
+		missIdx = append(missIdx, r)
+		missKeys = append(missKeys, string(key))
+		missRounds = append(missRounds, round)
+	}
+
+	if len(missRounds) > 0 {
+		as, err := sched.Assignments(m.cfg.N, missRounds)
+		if err != nil {
+			return nil, fmt.Errorf("groupd: epoch round assembly: %w", err)
+		}
+		// Quarantine is a per-round decision: whether a connection
+		// survives a fault depends on the whole round's switch
+		// settings, so the policy filters each combined assignment,
+		// not each group.
+		rejected := make([][]int, len(as))
+		if m.cfg.Policy != nil {
+			for i := range as {
+				as[i], rejected[i] = m.cfg.Policy.FilterAssignment(as[i])
+			}
+		}
+		routed, err := controller.RouteAllOn(m.nw, as, m.cfg.Workers)
+		if err != nil {
+			return nil, fmt.Errorf("groupd: epoch routing: %w", err)
+		}
+		for _, sr := range routed {
+			r := missIdx[sr.Index]
+			if sr.Err != nil {
+				return nil, fmt.Errorf("groupd: epoch round %d: %w", r, sr.Err)
+			}
+			vec := make([]int, m.cfg.N)
+			for out, d := range sr.Res.Deliveries {
+				vec[out] = d.Source
+			}
+			rr := &rep.Rounds[r]
+			rr.Deliveries, rr.Rejected = vec, rejected[sr.Index]
+			if len(rr.Rejected) > 0 {
+				rep.Quarantined += len(rr.Rejected)
+				rep.DegradedRounds++
+				continue
+			}
+			next[missKeys[sr.Index]] = vec
 		}
 	}
+	m.memo = roundMemo{version: pv, rows: next}
+
 	for _, sn := range live {
 		rep.Fanout += len(sn.members)
 		if _, err := m.planFor(sn.id, sn.gen, sn.source, sn.members, sn.tier); err != nil {
@@ -138,12 +203,37 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 		m.met.epochsOK.Inc()
 		m.met.epochDur.ObserveDuration(rep.Duration)
 		m.met.epochRounds.Observe(float64(len(rep.Rounds)))
+		m.met.roundsRouted.Add(uint64(len(missRounds)))
+		m.met.roundsReused.Add(uint64(len(rep.Rounds) - len(missRounds)))
 	}
 	m.last.Store(rep)
 	if m.cfg.Policy != nil {
 		m.cfg.Policy.AfterEpoch(rep.Epoch)
 	}
 	return rep, nil
+}
+
+// roundKey appends to dst the content key of one scheduled round: its
+// per-output owner vector (output -> source, -1 idle), encoded as the
+// active (output, source) pairs in output order. Content, not group
+// identity, decides reuse — a deleted and recreated group restarts at
+// generation 1 with different members. owner is all -1 scratch of
+// length n and is left that way.
+func roundKey(dst []byte, owner []int, reqs []sched.Request, members []int) []byte {
+	for _, k := range members {
+		for _, d := range reqs[k].Dests {
+			owner[d] = reqs[k].Source
+		}
+	}
+	for out, src := range owner {
+		if src < 0 {
+			continue
+		}
+		dst = binary.AppendUvarint(dst, uint64(out))
+		dst = binary.AppendUvarint(dst, uint64(src))
+		owner[out] = -1
+	}
+	return dst
 }
 
 // Epoch returns the number of completed epochs.

@@ -188,6 +188,7 @@ type Manager struct {
 
 	epochMu sync.Mutex // serializes RunEpoch
 	epochN  atomic.Int64
+	memo    roundMemo // previous epoch's routed rounds, under epochMu
 	last    atomic.Pointer[EpochReport]
 
 	met    *managerMetrics // nil when Config.Metrics was nil
@@ -251,10 +252,10 @@ func NewManager(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// Close stops the epoch loop, waiting for an in-flight epoch to drain.
-// With a durable store it then writes a final snapshot (so the next
-// boot replays nothing) and closes the store. It is idempotent and safe
-// to call concurrently.
+// Close stops the epoch loop, waiting for an in-flight epoch to drain,
+// and releases the epoch round memo. With a durable store it then
+// writes a final snapshot (so the next boot replays nothing) and closes
+// the store. It is idempotent and safe to call concurrently.
 func (m *Manager) Close() error {
 	if m.closed.Swap(true) {
 		return nil
@@ -263,6 +264,9 @@ func (m *Manager) Close() error {
 	if m.loopRunning {
 		<-m.done
 	}
+	m.epochMu.Lock()
+	m.memo = roundMemo{}
+	m.epochMu.Unlock()
 	if m.cfg.Store == nil {
 		return nil
 	}

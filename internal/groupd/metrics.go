@@ -6,6 +6,7 @@ package groupd
 //	brsmn_epoch_duration_seconds      histogram  one reroute epoch, wall-clock
 //	brsmn_epoch_rounds                histogram  conflict-free rounds per epoch
 //	brsmn_epochs_total{result=...}    counter    ok | error
+//	brsmn_epoch_rounds_routed_total   counter    {result}: routed | reused epoch rounds
 //	brsmn_replan_duration_seconds     histogram  cache-miss O(n log² n) replan
 //	brsmn_replans_total               counter    cache-miss replans
 //	brsmn_plan_patches_total{result}  counter    patched | full serving-path misses
@@ -42,6 +43,11 @@ type managerMetrics struct {
 	patchLevel  *obs.Histogram
 	patchDelta  *obs.Histogram
 
+	// roundsRouted and roundsReused split each epoch's rounds into
+	// those routed afresh and those reused from the previous epoch.
+	roundsRouted *obs.Counter
+	roundsReused *obs.Counter
+
 	// Per-backend-tier accounting, indexed by backend.Tier numeric
 	// value (index 0, TierAuto, stays nil).
 	backendRoutes   [4]*obs.Counter
@@ -66,6 +72,10 @@ func (m *Manager) registerMetrics(reg *obs.Registry) *managerMetrics {
 			"Completed reroute epochs by result."),
 		epochsErr: reg.Counter(lbl(`brsmn_epochs_total{result="error"}`),
 			"Completed reroute epochs by result."),
+		roundsRouted: reg.Counter(lbl(`brsmn_epoch_rounds_routed_total{result="routed"}`),
+			"Epoch rounds routed afresh vs reused unchanged from the previous epoch."),
+		roundsReused: reg.Counter(lbl(`brsmn_epoch_rounds_routed_total{result="reused"}`),
+			"Epoch rounds routed afresh vs reused unchanged from the previous epoch."),
 		replans: reg.Counter(lbl("brsmn_replans_total"),
 			"Cache-miss full replans (O(n log^2 n) routes)."),
 		replanDur: reg.Histogram(lbl("brsmn_replan_duration_seconds"),

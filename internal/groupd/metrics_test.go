@@ -100,3 +100,52 @@ func TestManagerWithoutMetrics(t *testing.T) {
 		t.Fatal("bare manager grew instruments")
 	}
 }
+
+// TestEpochRoundsRoutedMetric checks the routed/reused split of epoch
+// rounds on a shard-labelled manager: an unchanged second epoch reuses
+// every round, and one join makes the next epoch route at least one.
+func TestEpochRoundsRoutedMetric(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := newTestManager(t, Config{N: 16, Metrics: reg, MetricsLabel: `shard="0"`})
+	// a and b conflict on output 5: two rounds.
+	mustCreate(t, m, "a", 0, []int{1, 5})
+	mustCreate(t, m, "b", 3, []int{5, 9})
+	mustCreate(t, m, "c", 7, []int{2, 11})
+
+	series := func(result string) string {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		prefix := `brsmn_epoch_rounds_routed_total{result="` + result + `",shard="0"} `
+		for _, line := range strings.Split(b.String(), "\n") {
+			if strings.HasPrefix(line, prefix) {
+				return strings.TrimPrefix(line, prefix)
+			}
+		}
+		t.Fatalf("series %s missing from exposition:\n%s", prefix, b.String())
+		return ""
+	}
+	epoch := func() {
+		t.Helper()
+		if _, err := m.RunEpoch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	epoch()
+	if r, u := series("routed"), series("reused"); r != "2" || u != "0" {
+		t.Fatalf("first epoch routed %s, reused %s; want 2, 0", r, u)
+	}
+	epoch()
+	if r, u := series("routed"), series("reused"); r != "2" || u != "2" {
+		t.Fatalf("unchanged epoch: routed %s, reused %s; want 2, 2", r, u)
+	}
+	if _, err := m.Join("c", 14); err != nil {
+		t.Fatal(err)
+	}
+	epoch()
+	if r := series("routed"); r == "2" {
+		t.Fatalf("epoch after a join routed no round (routed total %s)", r)
+	}
+}
