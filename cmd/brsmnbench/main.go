@@ -23,7 +23,7 @@
 //
 //	brsmnbench -exp recovery -n 256 -groups 64 -trials 5 -format json > BENCH_recovery.json
 //
-// The tiers experiment routes the selector's workload classes through
+// The tiers experiment routes a tiny and a dense workload class through
 // every planner backend and backs the BENCH_tiers.json artifact:
 //
 //	brsmnbench -exp tiers -n 1024 -trials 20 -format json > BENCH_tiers.json

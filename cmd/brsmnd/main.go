@@ -55,7 +55,6 @@ import (
 	"path/filepath"
 
 	"brsmn/internal/api"
-	"brsmn/internal/backend"
 	"brsmn/internal/cluster"
 	"brsmn/internal/faultd"
 	"brsmn/internal/groupd"
@@ -90,8 +89,6 @@ type config struct {
 	dataDir        string
 	snapshotEvery  time.Duration
 	fsyncBatch     int
-	backendTier    string
-	tierAuto       bool
 	nodeID         string
 	peers          string
 	clusterPoll    time.Duration
@@ -153,8 +150,6 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.dataDir, "data-dir", "", "durable state directory: per-shard WAL + snapshots, recovered on boot (empty disables durability)")
 	fs.DurationVar(&cfg.snapshotEvery, "snapshot-every", time.Minute, "periodic snapshot (and WAL truncation) interval per shard; 0 snapshots only on shutdown and on POST /v1/admin/snapshot")
 	fs.IntVar(&cfg.fsyncBatch, "fsync-batch", 8, "WAL appends per fsync; 1 syncs every mutation before it is acknowledged")
-	fs.StringVar(&cfg.backendTier, "backend", "", `default planner backend for new groups: "auto", "brsmn", "feedback", or "permnet" (empty keeps brsmn, or auto-selection with -tier-auto)`)
-	fs.BoolVar(&cfg.tierAuto, "tier-auto", false, "auto-select each group's planner backend from its observed workload (size, churn, cache-hit profile)")
 	fs.StringVar(&cfg.nodeID, "node-id", "", "this node's ID in a multi-node cluster (requires -peers; empty keeps single-node mode)")
 	fs.StringVar(&cfg.peers, "peers", "", "cluster membership as comma-separated id=http://host:port pairs, this node included")
 	fs.DurationVar(&cfg.clusterPoll, "cluster-poll", 500*time.Millisecond, "membership poll cadence in cluster mode")
@@ -169,9 +164,6 @@ func parseFlags(args []string) (config, error) {
 	}
 	if cfg.shards < 1 {
 		return config{}, fmt.Errorf("brsmnd: -shards must be at least 1, got %d", cfg.shards)
-	}
-	if _, err := backend.ParseTier(cfg.backendTier); err != nil {
-		return config{}, fmt.Errorf(`brsmnd: -backend %q: want "auto", "brsmn", "feedback", or "permnet"`, cfg.backendTier)
 	}
 	if (cfg.nodeID == "") != (cfg.peers == "") {
 		return config{}, errors.New("brsmnd: -node-id and -peers must be set together")
@@ -212,10 +204,6 @@ func (d *daemon) Close() error {
 // (which the caller must Close).
 func newHandler(cfg config) (http.Handler, *daemon, error) {
 	eng := rbn.Engine{Workers: cfg.workers}
-	defaultTier, err := backend.ParseTier(cfg.backendTier)
-	if err != nil {
-		return nil, nil, err // parseFlags validated; unreachable from main
-	}
 	var reg *obs.Registry
 	var tracer *obs.TraceRecorder
 	if cfg.metrics {
@@ -318,8 +306,6 @@ func newHandler(cfg config) (http.Handler, *daemon, error) {
 			EpochThreshold: cfg.epochThreshold,
 			Workers:        cfg.workers,
 			Tracer:         tracer,
-			DefaultBackend: defaultTier,
-			TierAuto:       cfg.tierAuto,
 		},
 		NewPolicy:     func(i int) groupd.FaultPolicy { return monitors[i] },
 		OnQuarantine:  func(i int) { log.Printf("brsmnd: shard %d reported unhealthy, quarantined and rebalanced", i) },

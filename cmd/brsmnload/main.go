@@ -40,20 +40,19 @@ import (
 
 // config is the parsed flag set.
 type config struct {
-	targets    []string
-	scenario   string
-	groups     int
-	n          int
-	workers    int
-	duration   time.Duration
-	zipfS      float64
-	zipfV      float64
-	maxSize    int
-	seed       int64
-	out        string
-	timeout    time.Duration
-	async      float64
-	backendMix bool
+	targets  []string
+	scenario string
+	groups   int
+	n        int
+	workers  int
+	duration time.Duration
+	zipfS    float64
+	zipfV    float64
+	maxSize  int
+	seed     int64
+	out      string
+	timeout  time.Duration
+	async    float64
 }
 
 // parseFlags parses args (without the program name) into a config.
@@ -74,7 +73,6 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.out, "out", "BENCH_cluster.json", "report path (- writes to stdout)")
 	fs.DurationVar(&cfg.timeout, "timeout", 10*time.Second, "per-request timeout")
 	fs.Float64Var(&cfg.async, "async", 0, "fraction of churn ops submitted as tickets and long-polled to completion (0..1)")
-	fs.BoolVar(&cfg.backendMix, "backend-mix", false, "sample the planner backend serving every plan fetch (pair with targets running -tier-auto) and report per-tier latency percentiles")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
@@ -150,11 +148,5 @@ func main() {
 	if rep.AsyncOps > 0 {
 		fmt.Printf("brsmnload: async: %d tickets, submit p99 %.2fms, complete p99 %.2fms\n",
 			rep.AsyncOps, rep.AsyncSubmitLatencyMs.P99, rep.AsyncCompleteLatencyMs.P99)
-	}
-	for _, tier := range []string{"brsmn", "feedback", "permnet"} {
-		if p, ok := rep.PlanLatencyByBackendMs[tier]; ok {
-			fmt.Printf("brsmnload: backend %-8s %6d plans, p50 %.2fms, p99 %.2fms\n",
-				tier, p.Count, p.P50, p.P99)
-		}
 	}
 }

@@ -74,9 +74,6 @@ type sample struct {
 	err       bool
 	async     bool
 	submitMs  float64
-	// backend is the planner tier that served a plan fetch, sampled from
-	// the plan envelope's backend field in -backend-mix mode.
-	backend string
 }
 
 // Percentiles summarizes a latency population in milliseconds.
@@ -137,13 +134,6 @@ type Report struct {
 	ForwardedLatencyMs Percentiles `json:"forwardedLatencyMs"`
 	PlanLatencyMs      Percentiles `json:"planLatencyMs"`
 
-	// PlanLatencyByBackendMs splits the plan-fetch population by the
-	// planner tier that served it (-backend-mix; empty otherwise). With
-	// auto-tiering on the targets, the Zipf population spreads across
-	// tiers: tiny tail groups on permnet, large stable heads on
-	// feedback, the churny middle on brsmn.
-	PlanLatencyByBackendMs map[string]Percentiles `json:"planLatencyByBackendMs,omitempty"`
-
 	// Async* summarize the ticketed fraction of the run (-async):
 	// submit is the POST /v1/tickets 202 round-trip, complete spans
 	// submit through the ticket reporting done.
@@ -201,7 +191,6 @@ func runLoad(cfg config, logf func(format string, args ...any)) (*Report, error)
 	rep.DurationSeconds = cfg.duration.Seconds()
 	rep.AsyncFraction = cfg.async
 	var all, local, fwd, plan, asub, adone []float64
-	byBackend := make(map[string][]float64)
 	for _, s := range samples {
 		if s.err {
 			rep.Errors++
@@ -234,9 +223,6 @@ func runLoad(cfg config, logf func(format string, args ...any)) (*Report, error)
 		if s.op == opPlan {
 			rep.Routes++
 			plan = append(plan, s.ms)
-			if s.backend != "" {
-				byBackend[s.backend] = append(byBackend[s.backend], s.ms)
-			}
 		}
 	}
 	if rep.Ops > 0 {
@@ -253,12 +239,6 @@ func runLoad(cfg config, logf func(format string, args ...any)) (*Report, error)
 	rep.PlanLatencyMs = percentiles(plan)
 	rep.AsyncSubmitLatencyMs = percentiles(asub)
 	rep.AsyncCompleteLatencyMs = percentiles(adone)
-	if len(byBackend) > 0 {
-		rep.PlanLatencyByBackendMs = make(map[string]Percentiles, len(byBackend))
-		for tier, ms := range byBackend {
-			rep.PlanLatencyByBackendMs[tier] = percentiles(ms)
-		}
-	}
 	if rep.LocalLatencyMs.P50 > 0 && rep.ForwardedLatencyMs.Count > 0 {
 		rep.ForwardOverheadP50 = rep.ForwardedLatencyMs.P50 / rep.LocalLatencyMs.P50
 	}
@@ -358,9 +338,6 @@ func (l *loader) oneOp(r *rand.Rand, id, base string) sample {
 	var body []byte
 	switch op {
 	case opPlan:
-		if l.cfg.backendMix {
-			return l.planOpSampled(id, base)
-		}
 		method, path = http.MethodGet, "/v1/groups/"+id+"/plan"
 	case opJoin:
 		method, path = http.MethodPost, "/v1/groups/"+id+"/join"
@@ -380,32 +357,6 @@ func (l *loader) oneOp(r *rand.Rand, id, base string) sample {
 		forwarded: forwarded,
 		err:       err != nil,
 	}
-}
-
-// planOpSampled is the -backend-mix plan fetch: it reads the envelope
-// to record which planner tier served the plan, at the cost of parsing
-// the body on the client.
-func (l *loader) planOpSampled(id, base string) sample {
-	start := time.Now()
-	status, forwarded, raw, err := l.doRead(http.MethodGet, base, "/v1/groups/"+id+"/plan", nil)
-	s := sample{
-		op:        opPlan,
-		ms:        float64(time.Since(start).Microseconds()) / 1000,
-		status:    status,
-		forwarded: forwarded,
-		err:       err != nil,
-	}
-	if err == nil && status == http.StatusOK {
-		var env struct {
-			Data struct {
-				Backend string `json:"backend"`
-			} `json:"data"`
-		}
-		if json.Unmarshal(raw, &env) == nil && env.Data.Backend != "" {
-			s.backend = env.Data.Backend
-		}
-	}
-	return s
 }
 
 // asyncOp submits op as a ticket (POST /v1/tickets), then long-polls

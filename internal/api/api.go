@@ -7,7 +7,8 @@
 //	POST /v1/route     {"n":8,"dests":[[0,1],null,[3,4,7],[2],null,null,null,[5,6]]}
 //	                   -> {"data":{"deliveries":[…],"splits":…,"depth":…},"error":null}
 //	POST /v1/schedule  {"n":16,"requests":[{"source":0,"dests":[1,2]},…]}
-//	POST /v1/plan      route + flattened plancodec column program
+//	POST /v1/plan      route + flattened plancodec column program on a
+//	                   chosen fabric ({"n","dests","backend"}; brsmn by default)
 //	POST /v1/pipeline  batch pipelining simulation
 //	GET  /v1/cost?n=256
 //	GET  /v1/sequence?n=8&dests=3,4,7
@@ -40,7 +41,6 @@ import (
 	"brsmn/internal/backend"
 	"brsmn/internal/core"
 	"brsmn/internal/cost"
-	"brsmn/internal/fabric"
 	"brsmn/internal/faultd"
 	"brsmn/internal/mcast"
 	"brsmn/internal/netsim"
@@ -91,7 +91,6 @@ func NewServer(eng rbn.Engine, g Groups, fm *faultd.Monitor, opts ...Option) *Se
 	s.route("GET /v1/groups/{id}", "group_get", s.withGroups(s.handleGroupGet))
 	s.route("POST /v1/groups/{id}/join", "group_join", s.withGroups(s.handleGroupJoin))
 	s.route("POST /v1/groups/{id}/leave", "group_leave", s.withGroups(s.handleGroupLeave))
-	s.route("POST /v1/groups/{id}/backend", "group_backend", s.withGroups(s.handleGroupSetBackend))
 	s.route("DELETE /v1/groups/{id}", "group_delete", s.withGroups(s.handleGroupDelete))
 	s.route("GET /v1/groups/{id}/plan", "group_plan", s.withGroups(s.handleGroupPlan))
 	s.route("GET /v1/backends", "backends", s.withGroups(s.handleBackends))
@@ -135,7 +134,6 @@ func NewServer(eng rbn.Engine, g Groups, fm *faultd.Monitor, opts ...Option) *Se
 	s.notAllowed("/v1/groups/{id}", "GET, DELETE")
 	s.notAllowed("/v1/groups/{id}/join", "POST")
 	s.notAllowed("/v1/groups/{id}/leave", "POST")
-	s.notAllowed("/v1/groups/{id}/backend", "POST")
 	s.notAllowed("/v1/groups/{id}/plan", "GET")
 	s.notAllowed("/v1/backends", "GET")
 	s.notAllowed("/v1/tickets", "GET, POST")
@@ -341,12 +339,29 @@ func (s *Server) handleSequence(w http.ResponseWriter, r *http.Request) {
 	writeData(w, http.StatusOK, SequenceResponse{Sequence: mcast.FormatSequence(seq)})
 }
 
+// PlanRequest is the /v1/plan payload: a /v1/route assignment plus the
+// fabric to plan it on.
+type PlanRequest struct {
+	RouteRequest
+	// Backend is "brsmn" (the default when empty), "feedback" or
+	// "permnet".
+	Backend string `json:"backend,omitempty"`
+}
+
+func (r *PlanRequest) validate() []FieldError {
+	fields := r.RouteRequest.validate()
+	if _, err := backend.ParseTier(r.Backend); err != nil {
+		fields = append(fields, FieldError{Field: "backend", Reason: `must be "brsmn", "feedback", or "permnet"`})
+	}
+	return fields
+}
+
 // PlanResponse is the /v1/plan reply: the routed assignment's deliveries
 // plus the flattened switch-column program in the plancodec binary
 // format, base64-encoded — what a hardware configuration flow consumes.
-// The backend/passes/cost fields mirror the group-plan envelope; the
-// stateless endpoint always plans on the full BRSMN, and clients that
-// ignore unknown fields decode the pre-tiering shape unchanged.
+// Backend, passes and cost describe the fabric that planned it, as in
+// the group-plan envelope. A permnet program concatenates its unicast
+// passes; a pass boundary is where the column level restarts at 1.
 type PlanResponse struct {
 	Deliveries []int     `json:"deliveries"`
 	Columns    int       `json:"columns"`
@@ -357,48 +372,40 @@ type PlanResponse struct {
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	var req RouteRequest
+	var req PlanRequest
 	if !decode(w, r, &req) {
 		return
 	}
+	tier, _ := backend.ParseTier(req.Backend)
 	a, err := mcast.New(req.N, req.Dests)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	nw, err := core.New(a.N, s.eng)
+	b, err := backend.New(tier, a.N, s.eng)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	res, err := nw.Route(a)
+	rt, err := b.Route(a)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	cols, err := fabric.Flatten(res)
+	blob, err := plancodec.Encode(a.N, rt.Columns)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	blob, err := plancodec.Encode(a.N, cols)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	row := cost.BRSMN(a.N)
-	resp := PlanResponse{
-		Deliveries: make([]int, a.N),
-		Columns:    len(cols),
+	row := b.Cost()
+	writeData(w, http.StatusOK, PlanResponse{
+		Deliveries: rt.Deliveries,
+		Columns:    len(rt.Columns),
 		Plan:       base64.StdEncoding.EncodeToString(blob),
-		Backend:    backend.TierBRSMN.String(),
-		Passes:     1,
+		Backend:    b.Name(),
+		Passes:     rt.Passes,
 		Cost:       &row,
-	}
-	for out, d := range res.Deliveries {
-		resp.Deliveries[out] = d.Source
-	}
-	writeData(w, http.StatusOK, resp)
+	})
 }
 
 // PipelineRequest is the /v1/pipeline payload: a batch of same-size

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"brsmn/internal/bsn"
@@ -185,50 +186,94 @@ func TestSequenceEndpoint(t *testing.T) {
 	}
 }
 
-// TestPlanEndpoint fetches a switch-column program and replays it
-// locally.
+// TestPlanEndpoint plans the Fig. 2 assignment on every fabric. Each
+// program must decode, each response must deliver the assignment's
+// output owners, and the single-injection programs (brsmn, feedback)
+// must replay locally to those deliveries. Omitting backend plans on
+// the full BRSMN, exactly as naming it does.
 func TestPlanEndpoint(t *testing.T) {
 	ts := newTestServer(t)
-	var out PlanResponse
-	code := postJSON(t, ts.URL+"/v1/plan", RouteRequest{
-		N:     8,
-		Dests: [][]int{{0, 1}, nil, {3, 4, 7}, {2}, nil, nil, nil, {5, 6}},
-	}, &out)
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	blob, err := base64.StdEncoding.DecodeString(out.Plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, cols, err := plancodec.Decode(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 8 || len(cols) != out.Columns {
-		t.Fatalf("decoded n=%d cols=%d, response says %d", n, len(cols), out.Columns)
-	}
 	a := workload.PaperFig2()
 	cells, err := bsn.CellsForAssignment(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := fabric.Run(cols, cells)
-	if err != nil {
-		t.Fatal(err)
+	owner := a.OutputOwner()
+	cases := []struct {
+		backend, want string
+		passes        int // 0: any positive count
+		replay        bool
+	}{
+		{"", "brsmn", 1, true},
+		{"brsmn", "brsmn", 1, true},
+		{"feedback", "feedback", 2*3 - 1, true},
+		{"permnet", "permnet", 0, false},
 	}
-	for p, c := range final {
-		want := out.Deliveries[p]
-		got := -1
-		if !c.IsIdle() {
-			got = c.Source
+	plans := map[string]string{}
+	for _, tc := range cases {
+		var out PlanResponse
+		code := postJSON(t, ts.URL+"/v1/plan", PlanRequest{
+			RouteRequest: RouteRequest{N: 8, Dests: a.Dests},
+			Backend:      tc.backend,
+		}, &out)
+		if code != http.StatusOK {
+			t.Fatalf("backend %q: status %d", tc.backend, code)
 		}
-		if got != want {
-			t.Fatalf("replay output %d = %d, response says %d", p, got, want)
+		if out.Backend != tc.want || out.Cost == nil || out.Cost.Switches <= 0 {
+			t.Errorf("backend %q: answered %q with cost %+v", tc.backend, out.Backend, out.Cost)
 		}
+		if (tc.passes > 0 && out.Passes != tc.passes) || out.Passes < 1 {
+			t.Errorf("backend %q: passes %d, want %d", tc.backend, out.Passes, tc.passes)
+		}
+		blob, err := base64.StdEncoding.DecodeString(out.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, cols, err := plancodec.Decode(blob)
+		if err != nil {
+			t.Fatalf("backend %q: %v", tc.backend, err)
+		}
+		if n != 8 || len(cols) != out.Columns {
+			t.Fatalf("backend %q: decoded n=%d cols=%d, response says %d", tc.backend, n, len(cols), out.Columns)
+		}
+		for p, want := range owner {
+			if out.Deliveries[p] != want {
+				t.Fatalf("backend %q: output %d delivers %d, owner is %d", tc.backend, p, out.Deliveries[p], want)
+			}
+		}
+		plans[tc.backend] = out.Plan
+		if !tc.replay {
+			continue
+		}
+		final, err := fabric.Run(cols, cells)
+		if err != nil {
+			t.Fatalf("backend %q: %v", tc.backend, err)
+		}
+		for p, c := range final {
+			want := out.Deliveries[p]
+			got := -1
+			if !c.IsIdle() {
+				got = c.Source
+			}
+			if got != want {
+				t.Fatalf("backend %q: replay output %d = %d, response says %d", tc.backend, p, got, want)
+			}
+		}
+	}
+	if plans[""] != plans["brsmn"] {
+		t.Error("omitted backend planned differently from brsmn")
 	}
 	if code := postJSON(t, ts.URL+"/v1/plan", RouteRequest{N: 5}, nil); code != http.StatusBadRequest {
 		t.Errorf("bad n: status %d, want 400", code)
+	}
+	resp, err := http.Post(ts.URL+"/v1/plan", "application/json",
+		strings.NewReader(`{"n":8,"dests":[[1]],"backend":"quantum"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := readEnvelope(t, resp, nil)
+	if resp.StatusCode != http.StatusBadRequest || e == nil || len(e.Fields) != 1 || e.Fields[0].Field != "backend" {
+		t.Errorf("unknown backend: status %d, error %+v, want 400 naming backend", resp.StatusCode, e)
 	}
 }
 

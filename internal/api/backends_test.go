@@ -5,13 +5,12 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"brsmn/internal/groupd"
+	"brsmn/internal/cost"
 	"brsmn/internal/rbn"
 )
 
-// TestBackendsEndpoint checks the backend catalogue: every tier with
-// its patch capability and cost row, plus the effective selector
-// thresholds.
+// TestBackendsEndpoint checks the backend catalogue: every fabric with
+// its patch capability and cost row at the serving size.
 func TestBackendsEndpoint(t *testing.T) {
 	ts := newGroupServer(t)
 
@@ -22,24 +21,22 @@ func TestBackendsEndpoint(t *testing.T) {
 	if got.N != 16 {
 		t.Errorf("n = %d, want 16", got.N)
 	}
-	if len(got.Backends) != 3 {
-		t.Fatalf("got %d backends, want 3", len(got.Backends))
+	want := []struct {
+		name  string
+		patch bool
+		cost  cost.Row
+	}{
+		{"brsmn", true, cost.BRSMN(16)},
+		{"feedback", false, cost.Feedback(16)},
+		{"permnet", false, cost.PermNet(16)},
 	}
-	byName := map[string]BackendInfo{}
-	for _, b := range got.Backends {
-		byName[b.Name] = b
-		if b.Cost.Switches <= 0 || b.Cost.Depth <= 0 {
-			t.Errorf("backend %s cost row empty: %+v", b.Name, b.Cost)
+	if len(got.Backends) != len(want) {
+		t.Fatalf("got %d backends, want %d", len(got.Backends), len(want))
+	}
+	for i, w := range want {
+		if b := got.Backends[i]; b.Name != w.name || b.Patch != w.patch || b.Cost != w.cost {
+			t.Errorf("row %d = %+v, want %s patch=%v cost %+v", i, b, w.name, w.patch, w.cost)
 		}
-	}
-	if !byName["brsmn"].Patch {
-		t.Error("brsmn not reported patch-capable")
-	}
-	if byName["feedback"].Patch || byName["permnet"].Patch {
-		t.Error("feedback/permnet reported patch-capable")
-	}
-	if got.Selector.Hysteresis <= 0 {
-		t.Errorf("selector thresholds not populated: %+v", got.Selector)
 	}
 
 	// Without a group manager the endpoint degrades like the rest of the
@@ -51,61 +48,23 @@ func TestBackendsEndpoint(t *testing.T) {
 	}
 }
 
-// TestGroupBackendHTTP drives the repin endpoint and the backend field
-// on create, including validation failures.
+// TestGroupBackendHTTP checks that a created group is planned on the
+// full BRSMN: one pass, with the BRSMN cost row at the serving size.
 func TestGroupBackendHTTP(t *testing.T) {
 	ts := newGroupServer(t)
 
-	var info groupd.GroupInfo
-	code := doJSON(t, "POST", ts.URL+"/v1/groups",
-		CreateGroupRequest{ID: "conf", Source: 2, Members: []int{3, 4, 7}, Backend: "feedback"}, &info)
-	if code != http.StatusCreated {
+	if code := doJSON(t, "POST", ts.URL+"/v1/groups",
+		CreateGroupRequest{ID: "conf", Source: 2, Members: []int{3, 4, 7}}, nil); code != http.StatusCreated {
 		t.Fatalf("create = %d", code)
 	}
-	if info.Backend != "feedback" || info.BackendPref != "feedback" {
-		t.Fatalf("created on %s/%s, want feedback/feedback", info.Backend, info.BackendPref)
-	}
-
 	var plan GroupPlanResponse
 	if code := doJSON(t, "GET", ts.URL+"/v1/groups/conf/plan", nil, &plan); code != http.StatusOK {
 		t.Fatalf("plan = %d", code)
 	}
-	if plan.Backend != "feedback" {
-		t.Errorf("plan backend %q, want feedback", plan.Backend)
-	}
-	if plan.Passes < 1 {
-		t.Errorf("plan passes %d", plan.Passes)
-	}
-	if plan.Cost == nil || plan.Cost.Switches <= 0 {
-		t.Errorf("plan cost missing: %+v", plan.Cost)
-	}
-
-	// Repin to brsmn and observe the plan envelope follow.
-	if code := doJSON(t, "POST", ts.URL+"/v1/groups/conf/backend",
-		SetBackendRequest{Backend: "brsmn"}, &info); code != http.StatusOK {
-		t.Fatalf("repin = %d", code)
-	}
-	if info.Backend != "brsmn" {
-		t.Errorf("after repin backend %q", info.Backend)
-	}
-	if code := doJSON(t, "GET", ts.URL+"/v1/groups/conf/plan", nil, &plan); code != http.StatusOK {
-		t.Fatal("plan after repin failed")
-	}
 	if plan.Backend != "brsmn" || plan.Passes != 1 {
-		t.Errorf("plan after repin: backend %q passes %d, want brsmn/1", plan.Backend, plan.Passes)
+		t.Errorf("plan backend %q passes %d, want brsmn/1", plan.Backend, plan.Passes)
 	}
-
-	// Validation: unknown tier is a field error on both surfaces.
-	if code := doJSON(t, "POST", ts.URL+"/v1/groups",
-		CreateGroupRequest{ID: "bad", Source: 0, Backend: "quantum"}, nil); code != http.StatusBadRequest {
-		t.Errorf("create with bad backend = %d, want 400", code)
-	}
-	if code := doJSON(t, "POST", ts.URL+"/v1/groups/conf/backend",
-		SetBackendRequest{Backend: "quantum"}, nil); code != http.StatusBadRequest {
-		t.Errorf("repin with bad backend = %d, want 400", code)
-	}
-	if code := doJSON(t, "POST", ts.URL+"/v1/groups/nope/backend",
-		SetBackendRequest{Backend: "brsmn"}, nil); code != http.StatusNotFound {
-		t.Errorf("repin on missing group = %d, want 404", code)
+	if plan.Cost == nil || *plan.Cost != cost.BRSMN(16) {
+		t.Errorf("plan cost %+v, want %+v", plan.Cost, cost.BRSMN(16))
 	}
 }

@@ -3,15 +3,14 @@ package api
 // Stateful group endpoints, backed by any Groups implementation — a
 // single *groupd.Manager, or the sharded *shard.Set:
 //
-//	POST   /v1/groups              {"id":"conf","source":2,"members":[3,4,7],"backend":"auto"} -> group state
+//	POST   /v1/groups              {"id":"conf","source":2,"members":[3,4,7]} -> group state
 //	GET    /v1/groups              -> {"count","offset","groups"} (paginated, Link headers)
-//	GET    /v1/groups/{id}         -> {"id","source","gen","size","members","sequence","backend","backendPref"}
+//	GET    /v1/groups/{id}         -> {"id","source","gen","size","members","sequence"}
 //	POST   /v1/groups/{id}/join    {"dest":9}  -> {"id","gen","size"}
 //	POST   /v1/groups/{id}/leave   {"dest":9}  -> {"id","gen","size"}
-//	POST   /v1/groups/{id}/backend {"backend":"feedback"} -> group state
 //	DELETE /v1/groups/{id}         -> {"deleted":"conf"}
 //	GET    /v1/groups/{id}/plan    -> the cached/recomputed column program
-//	GET    /v1/backends            -> the planner tiers: capabilities, cost rows, selector policy
+//	GET    /v1/backends            -> the comparison fabrics: capabilities and cost rows
 //	GET    /v1/epoch               -> the last epoch report
 //	POST   /v1/epoch               -> run an epoch now, return its report
 //	GET    /v1/healthz             -> liveness + group/shard/fault summary
@@ -39,10 +38,6 @@ import (
 type Groups interface {
 	N() int
 	Create(id string, source int, members []int) (groupd.GroupInfo, error)
-	CreateWithBackend(id string, source int, members []int, pref backend.Tier) (groupd.GroupInfo, error)
-	SetBackend(id string, pref backend.Tier) (groupd.GroupInfo, error)
-	Backends() map[backend.Tier]backend.Backend
-	SelectorConfig() backend.SelectorConfig
 	Join(id string, d int) (groupd.Update, error)
 	Leave(id string, d int) (groupd.Update, error)
 	Delete(id string) error
@@ -70,8 +65,6 @@ var (
 // to the plain calls.
 type ctxGroups interface {
 	CreateContext(ctx context.Context, id string, source int, members []int) (groupd.GroupInfo, error)
-	CreateWithBackendContext(ctx context.Context, id string, source int, members []int, pref backend.Tier) (groupd.GroupInfo, error)
-	SetBackendContext(ctx context.Context, id string, pref backend.Tier) (groupd.GroupInfo, error)
 	JoinContext(ctx context.Context, id string, d int) (groupd.Update, error)
 	LeaveContext(ctx context.Context, id string, d int) (groupd.Update, error)
 	DeleteContext(ctx context.Context, id string) error
@@ -85,20 +78,6 @@ func (s *Server) doCreate(r *http.Request, id string, source int, members []int)
 		return cg.CreateContext(r.Context(), id, source, members)
 	}
 	return s.groups.Create(id, source, members)
-}
-
-func (s *Server) doCreateWithBackend(r *http.Request, id string, source int, members []int, pref backend.Tier) (groupd.GroupInfo, error) {
-	if cg, ok := s.groups.(ctxGroups); ok {
-		return cg.CreateWithBackendContext(r.Context(), id, source, members, pref)
-	}
-	return s.groups.CreateWithBackend(id, source, members, pref)
-}
-
-func (s *Server) doSetBackend(r *http.Request, id string, pref backend.Tier) (groupd.GroupInfo, error) {
-	if cg, ok := s.groups.(ctxGroups); ok {
-		return cg.SetBackendContext(r.Context(), id, pref)
-	}
-	return s.groups.SetBackend(id, pref)
 }
 
 func (s *Server) doJoin(r *http.Request, id string, d int) (groupd.Update, error) {
@@ -174,10 +153,6 @@ type CreateGroupRequest struct {
 	ID      string `json:"id"`
 	Source  int    `json:"source"`
 	Members []int  `json:"members"`
-	// Backend is the optional planner-tier preference: "auto", "brsmn",
-	// "feedback", or "permnet". Empty defers to the server's configured
-	// default.
-	Backend string `json:"backend,omitempty"`
 }
 
 func (r *CreateGroupRequest) validate() (fields []FieldError) {
@@ -190,11 +165,6 @@ func (r *CreateGroupRequest) validate() (fields []FieldError) {
 			break
 		}
 	}
-	if r.Backend != "" {
-		if _, err := backend.ParseTier(r.Backend); err != nil {
-			fields = append(fields, FieldError{Field: "backend", Reason: `must be "auto", "brsmn", "feedback", or "permnet"`})
-		}
-	}
 	return fields
 }
 
@@ -205,24 +175,11 @@ func (s *Server) handleGroupCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	if asyncRequested(r) {
 		s.submitAsync(w, func(set *shard.Set) (*shard.Ticket, error) {
-			if req.Backend != "" {
-				pref, _ := backend.ParseTier(req.Backend)
-				return set.SubmitCreateWithBackend(req.ID, req.Source, req.Members, pref)
-			}
 			return set.SubmitCreate(req.ID, req.Source, req.Members)
 		})
 		return
 	}
-	var (
-		info groupd.GroupInfo
-		err  error
-	)
-	if req.Backend != "" {
-		pref, _ := backend.ParseTier(req.Backend)
-		info, err = s.doCreateWithBackend(r, req.ID, req.Source, req.Members, pref)
-	} else {
-		info, err = s.doCreate(r, req.ID, req.Source, req.Members)
-	}
+	info, err := s.doCreate(r, req.ID, req.Source, req.Members)
 	if err != nil {
 		groupErr(w, err)
 		return
@@ -341,18 +298,16 @@ func (s *Server) handleGroupDelete(w http.ResponseWriter, r *http.Request) {
 	writeData(w, http.StatusOK, map[string]string{"deleted": id})
 }
 
-// GroupPlanResponse is the GET /v1/groups/{id}/plan reply. The backend,
-// passes, and cost fields are additive: clients that ignore unknown
-// fields decode the pre-tiering shape unchanged.
+// GroupPlanResponse is the GET /v1/groups/{id}/plan reply.
 type GroupPlanResponse struct {
 	ID      string `json:"id"`
 	Gen     uint64 `json:"gen"`
 	Cached  bool   `json:"cached"`
 	Columns int    `json:"columns"`
 	Plan    string `json:"plan"` // base64(plancodec)
-	// Backend is the planner tier that produced the program; Passes is
-	// the injection passes it spans; Cost is the tier's hardware row at
-	// the serving network's size.
+	// Backend is the fabric that produced the program — always "brsmn"
+	// for groups; Passes is the injection passes it spans (1); Cost is
+	// the fabric's hardware row at the serving network's size.
 	Backend string    `json:"backend,omitempty"`
 	Passes  int       `json:"passes,omitempty"`
 	Cost    *cost.Row `json:"cost,omitempty"`
@@ -374,90 +329,49 @@ func (s *Server) handleGroupPlan(w http.ResponseWriter, r *http.Request) {
 	writeData(w, http.StatusOK, s.planResponse(p))
 }
 
-// planResponse renders a PlanInfo as the wire shape.
+// planResponse renders a PlanInfo as the wire shape. Every group is
+// planned on the full BRSMN in one pass.
 func (s *Server) planResponse(p groupd.PlanInfo) GroupPlanResponse {
+	row := cost.BRSMN(s.groups.N())
 	return GroupPlanResponse{
 		ID:      p.ID,
 		Gen:     p.Gen,
 		Cached:  p.Cached,
 		Columns: p.Columns,
 		Plan:    base64.StdEncoding.EncodeToString(p.Blob),
-		Backend: p.Backend,
-		Passes:  p.Passes,
-		Cost:    s.tierCost(p.Backend),
+		Backend: backend.TierBRSMN.String(),
+		Passes:  1,
+		Cost:    &row,
 	}
 }
 
-// tierCost resolves a tier's cost row at the serving network size; nil
-// when the tier is unknown or no group backend is configured.
-func (s *Server) tierCost(tier string) *cost.Row {
-	if s.groups == nil {
-		return nil
-	}
-	t, err := backend.ParseTier(tier)
-	if err != nil || t == backend.TierAuto {
-		return nil
-	}
-	b := s.groups.Backends()[t]
-	if b == nil {
-		return nil
-	}
-	row := b.Cost()
-	return &row
-}
-
-// SetBackendRequest is the POST /v1/groups/{id}/backend payload.
-type SetBackendRequest struct {
-	Backend string `json:"backend"`
-}
-
-func (r *SetBackendRequest) validate() (fields []FieldError) {
-	if _, err := backend.ParseTier(r.Backend); err != nil {
-		fields = append(fields, FieldError{Field: "backend", Reason: `must be "auto", "brsmn", "feedback", or "permnet"`})
-	}
-	return fields
-}
-
-func (s *Server) handleGroupSetBackend(w http.ResponseWriter, r *http.Request) {
-	var req SetBackendRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	pref, _ := backend.ParseTier(req.Backend)
-	info, err := s.doSetBackend(r, r.PathValue("id"), pref)
-	if err != nil {
-		groupErr(w, err)
-		return
-	}
-	writeData(w, http.StatusOK, info)
-}
-
-// BackendInfo describes one planner tier in the GET /v1/backends reply.
+// BackendInfo describes one fabric in the GET /v1/backends reply.
 type BackendInfo struct {
 	Name string `json:"name"`
-	// Patch reports whether the tier's plans accept incremental
-	// membership patches on the serving path.
+	// Patch reports whether the fabric's plans accept incremental
+	// membership patches.
 	Patch bool `json:"patch"`
-	// Cost is the tier's hardware/routing row at the serving network's
+	// Cost is the fabric's hardware/routing row at the serving network's
 	// size (the paper's Table 2 accounting).
 	Cost cost.Row `json:"cost"`
 }
 
 // BackendsResponse is the GET /v1/backends reply.
 type BackendsResponse struct {
-	N        int                    `json:"n"`
-	Backends []BackendInfo          `json:"backends"`
-	Selector backend.SelectorConfig `json:"selector"`
+	N        int           `json:"n"`
+	Backends []BackendInfo `json:"backends"`
 }
 
 func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
-	bs := s.groups.Backends()
-	resp := BackendsResponse{N: s.groups.N(), Selector: s.groups.SelectorConfig()}
+	n := s.groups.N()
+	bs, err := backend.All(n, s.eng)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	resp := BackendsResponse{N: n}
 	for _, t := range backend.Tiers() {
 		b := bs[t]
-		if b == nil {
-			continue
-		}
 		resp.Backends = append(resp.Backends, BackendInfo{Name: b.Name(), Patch: b.CanPatch(), Cost: b.Cost()})
 	}
 	writeData(w, http.StatusOK, resp)

@@ -1,15 +1,13 @@
 // Package backend puts the repository's three routing fabrics behind
-// one planner-backend interface — the full BRSMN (package core), the
-// feedback BRSMN (package feedback, Section 7.3) and the unicast
-// permutation network (package permnet, Cheng & Chen) — so the serving
-// layer can pick a fabric per group instead of hard-wiring the unrolled
-// network. Every backend produces the same artifact: a flattened
-// switch-column program plus per-output deliveries, with the pass count
-// and a cost.Row describing what the fabric spends to realize it.
-//
-// The Selector tiers groups across backends from observed workload
-// (group size, membership churn, plan-cache hit profile) with hysteresis
-// so a group near a threshold does not flap between fabrics.
+// one stateless planner-backend interface — the full BRSMN (package
+// core), the feedback BRSMN (package feedback, Section 7.3) and the
+// unicast permutation network (package permnet, Cheng & Chen) — so they
+// can be compared like for like, as in the paper's Table 2. Every
+// backend produces the same artifact: a flattened switch-column program
+// plus per-output deliveries, with the pass count and a cost.Row
+// describing what the fabric spends to realize it. Group serving always
+// plans on the full BRSMN; the other two answer POST /v1/plan requests
+// that name them and the tiers benchmark.
 package backend
 
 import (
@@ -21,28 +19,23 @@ import (
 	"brsmn/internal/rbn"
 )
 
-// Tier identifies a planner backend. TierAuto is a preference, not a
-// backend: it asks the Selector to pick among the concrete tiers.
+// Tier identifies a planner backend. The zero value is TierBRSMN.
 type Tier uint8
 
 const (
-	// TierAuto lets the selector tier the group from observed workload.
-	TierAuto Tier = iota
 	// TierBRSMN is the full unrolled BRSMN: one pass, patchable plans.
-	TierBRSMN
+	TierBRSMN Tier = iota
 	// TierFeedback is the feedback BRSMN: one RBN's hardware, 2 log2(n) - 1
-	// sequential passes — the amortization play for stable large groups.
+	// sequential passes.
 	TierFeedback
 	// TierPermNet is the unicast permutation network: one pass per unit of
-	// fanout — the cheap path for tiny groups.
+	// fanout.
 	TierPermNet
 )
 
 // String returns the wire name of the tier (the /v1 `backend` field).
 func (t Tier) String() string {
 	switch t {
-	case TierAuto:
-		return "auto"
 	case TierBRSMN:
 		return "brsmn"
 	case TierFeedback:
@@ -53,22 +46,20 @@ func (t Tier) String() string {
 	return fmt.Sprintf("tier(%d)", uint8(t))
 }
 
-// ParseTier parses a wire name; the empty string means TierAuto.
+// ParseTier parses a wire name; the empty string means TierBRSMN.
 func ParseTier(s string) (Tier, error) {
 	switch s {
-	case "", "auto":
-		return TierAuto, nil
-	case "brsmn":
+	case "", "brsmn":
 		return TierBRSMN, nil
 	case "feedback":
 		return TierFeedback, nil
 	case "permnet":
 		return TierPermNet, nil
 	}
-	return TierAuto, fmt.Errorf("backend: unknown backend %q (want auto, brsmn, feedback or permnet)", s)
+	return TierBRSMN, fmt.Errorf("backend: unknown backend %q (want brsmn, feedback or permnet)", s)
 }
 
-// Tiers lists the concrete backends, in tier order.
+// Tiers lists the backends, in tier order.
 func Tiers() []Tier { return []Tier{TierBRSMN, TierFeedback, TierPermNet} }
 
 // Route is a fabric-independent routed assignment: the switch-column
@@ -105,9 +96,8 @@ type Backend interface {
 	Cost() cost.Row
 }
 
-// New constructs the backend implementing a concrete tier for an n x n
-// network on the given engine. TierAuto has no implementation — resolve
-// it through a Selector first.
+// New constructs the backend implementing a tier for an n x n network
+// on the given engine.
 func New(t Tier, n int, eng rbn.Engine) (Backend, error) {
 	switch t {
 	case TierBRSMN:
@@ -120,9 +110,9 @@ func New(t Tier, n int, eng rbn.Engine) (Backend, error) {
 	return nil, fmt.Errorf("backend: no implementation for tier %v", t)
 }
 
-// All constructs every concrete backend for an n x n network, indexed by
-// tier, for callers (the group manager, the bench harness) that serve
-// all tiers side by side.
+// All constructs every backend for an n x n network, indexed by tier,
+// for callers (the backend catalogue, the bench harness) that compare
+// the tiers side by side.
 func All(n int, eng rbn.Engine) (map[Tier]Backend, error) {
 	out := make(map[Tier]Backend, 3)
 	for _, t := range Tiers() {

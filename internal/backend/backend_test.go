@@ -180,13 +180,13 @@ func mlog2(n int) int {
 
 // TestTierParsing round-trips the wire names.
 func TestTierParsing(t *testing.T) {
-	for _, tier := range []Tier{TierAuto, TierBRSMN, TierFeedback, TierPermNet} {
+	for _, tier := range Tiers() {
 		got, err := ParseTier(tier.String())
 		if err != nil || got != tier {
 			t.Errorf("ParseTier(%q) = %v, %v", tier.String(), got, err)
 		}
 	}
-	if got, err := ParseTier(""); err != nil || got != TierAuto {
+	if got, err := ParseTier(""); err != nil || got != TierBRSMN {
 		t.Errorf("ParseTier(\"\") = %v, %v", got, err)
 	}
 	if _, err := ParseTier("crossbar"); err == nil {
@@ -217,123 +217,5 @@ func TestCapabilities(t *testing.T) {
 	}
 	if backends[TierFeedback].Cost().Switches >= backends[TierBRSMN].Cost().Switches {
 		t.Error("feedback must use less hardware than the unrolled BRSMN")
-	}
-}
-
-// TestSelectorTiering checks the instantaneous policy: tiny → permnet,
-// large stable → feedback, churny or mid-size → brsmn.
-func TestSelectorTiering(t *testing.T) {
-	s := NewSelector(SelectorConfig{})
-	var st GroupState
-
-	s.Init(&st, TierAuto, 2, 0)
-	if st.Tier != TierPermNet {
-		t.Errorf("size-2 group initialized on %v, want permnet", st.Tier)
-	}
-	s.Init(&st, TierAuto, 16, 0)
-	if st.Tier != TierBRSMN {
-		t.Errorf("size-16 group initialized on %v, want brsmn", st.Tier)
-	}
-	s.Init(&st, TierAuto, 200, 0)
-	if st.Tier != TierFeedback {
-		t.Errorf("large stable group initialized on %v, want feedback", st.Tier)
-	}
-	s.Init(&st, TierPermNet, 200, 0)
-	if st.Tier != TierPermNet {
-		t.Errorf("explicit preference not honored: got %v", st.Tier)
-	}
-
-	// A large group under heavy churn must leave feedback for brsmn.
-	s.Init(&st, TierAuto, 200, 0)
-	gen := uint64(0)
-	moved := false
-	for i := 0; i < 20 && !moved; i++ {
-		gen += 5 // five membership changes between observations
-		moved = s.Observe(&st, 200, gen)
-	}
-	if !moved || st.Tier != TierBRSMN {
-		t.Errorf("churny large group on %v (moved=%v), want brsmn", st.Tier, moved)
-	}
-	// ...and return to feedback once churn decays.
-	moved = false
-	for i := 0; i < 64 && !moved; i++ {
-		moved = s.Observe(&st, 200, gen)
-	}
-	if !moved || st.Tier != TierFeedback {
-		t.Errorf("quiet large group stayed on %v (moved=%v), want feedback", st.Tier, moved)
-	}
-}
-
-// TestSelectorHysteresis is the satellite tier-flap test: a group
-// oscillating near a threshold must not transition until the decision
-// agrees for Hysteresis consecutive observations, and a single
-// disagreeing observation must reset the ladder.
-func TestSelectorHysteresis(t *testing.T) {
-	cfg := DefaultSelectorConfig()
-	s := NewSelector(cfg)
-	var st GroupState
-	s.Init(&st, TierAuto, 100, 0)
-	if st.Tier != TierFeedback {
-		t.Fatalf("initial tier %v, want feedback", st.Tier)
-	}
-
-	// Alternate the instantaneous decision every observation (by
-	// forcing the churn EWMA above and below threshold): the brsmn
-	// decision never accumulates Hysteresis agreements, so the tier
-	// must hold.
-	for i := 0; i < 30; i++ {
-		if i%2 == 0 {
-			st.churn = 10 // decide() sees brsmn
-		} else {
-			st.churn = 0 // decide() sees feedback, resetting the ladder
-		}
-		if s.Observe(&st, 100, 0) {
-			t.Fatalf("observation %d flapped the tier to %v", i, st.Tier)
-		}
-	}
-	if st.Tier != TierFeedback {
-		t.Fatalf("tier drifted to %v under oscillation", st.Tier)
-	}
-
-	// A sustained change of regime must take exactly Hysteresis
-	// consecutive agreeing observations.
-	for i := 1; i <= cfg.Hysteresis; i++ {
-		st.churn = 10
-		moved := s.Observe(&st, 100, 0)
-		if moved != (i == cfg.Hysteresis) {
-			t.Fatalf("observation %d: transitioned=%v, want transition only on observation %d",
-				i, moved, cfg.Hysteresis)
-		}
-	}
-	if st.Tier != TierBRSMN {
-		t.Errorf("tier %v after sustained churn, want brsmn", st.Tier)
-	}
-}
-
-// TestSelectorHitProfile checks the plan-cache hit gate: a large quiet
-// group whose plans keep missing cache must not move to feedback.
-func TestSelectorHitProfile(t *testing.T) {
-	s := NewSelector(SelectorConfig{})
-	var st GroupState
-	s.Init(&st, TierAuto, 16, 0) // starts brsmn (mid-size)
-	// Grow the group large while its cache profile is all misses.
-	for i := 0; i < 20; i++ {
-		s.RecordLookup(&st, false)
-	}
-	for i := 0; i < 10; i++ {
-		if s.Observe(&st, 200, 0) {
-			t.Fatalf("all-miss group transitioned to %v", st.Tier)
-		}
-	}
-	// A healthy hit profile unlocks feedback.
-	for i := 0; i < 40; i++ {
-		s.RecordLookup(&st, true)
-	}
-	moved := false
-	for i := 0; i < 10 && !moved; i++ {
-		moved = s.Observe(&st, 200, 0)
-	}
-	if !moved || st.Tier != TierFeedback {
-		t.Errorf("well-cached large group on %v (moved=%v), want feedback", st.Tier, moved)
 	}
 }

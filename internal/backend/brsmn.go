@@ -10,8 +10,7 @@ import (
 
 // BRSMN is the full unrolled network behind the Backend interface: one
 // injection pass, cost.BRSMNDepth(n) columns, and — uniquely among the
-// tiers — plans that accept O(log n) membership patches, which is why
-// the selector parks churny groups here.
+// tiers — plans that accept O(log n) membership patches.
 type BRSMN struct {
 	nw *core.Network
 }
@@ -37,10 +36,6 @@ func (b *BRSMN) CanPatch() bool { return true }
 
 // Cost implements Backend.
 func (b *BRSMN) Cost() cost.Row { return cost.BRSMN(b.nw.N()) }
-
-// Network exposes the wrapped core network (the patch path and the
-// epoch scheduler keep routing on it directly).
-func (b *BRSMN) Network() *core.Network { return b.nw }
 
 // Route implements Backend: a pooled core route flattened into the
 // linear column program.

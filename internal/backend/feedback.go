@@ -13,8 +13,7 @@ import (
 // Feedback is the Section 7.3 feedback BRSMN behind the Backend
 // interface: a single RBN's hardware reconfigured over 2 log2(n) - 1
 // sequential passes. Its plans are not patchable — every membership
-// change recomputes all passes — so the selector reserves it for large
-// stable groups whose plans amortize across epochs.
+// change recomputes all passes.
 type Feedback struct {
 	n    int
 	m    int

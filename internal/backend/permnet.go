@@ -17,8 +17,7 @@ import (
 // passes: pass p routes every input to its p-th destination, which is a
 // valid partial permutation because destination sets are pairwise
 // disjoint. A group with fanout f therefore costs f injection passes on
-// half the BRSMN's hardware — the winning trade only for tiny groups,
-// which is the only place the selector sends traffic here.
+// half the BRSMN's hardware.
 type PermNet struct {
 	n   int
 	m   int

@@ -427,9 +427,8 @@ func hopCount(r *http.Request) int {
 }
 
 // groupIDFromPath extracts the group ID from group-scoped /v1 paths:
-// /v1/groups/{id}, /v1/groups/{id}/join, /leave, /plan, /backend. The
-// collection endpoints (/v1/groups itself) and everything else return
-// ok=false.
+// /v1/groups/{id}, /v1/groups/{id}/join, /leave, /plan. The collection
+// endpoints (/v1/groups itself) and everything else return ok=false.
 func groupIDFromPath(path string) (string, bool) {
 	rest, found := strings.CutPrefix(path, "/v1/groups/")
 	if !found || rest == "" {
@@ -438,7 +437,7 @@ func groupIDFromPath(path string) (string, bool) {
 	if i := strings.IndexByte(rest, '/'); i >= 0 {
 		id, action := rest[:i], rest[i+1:]
 		switch action {
-		case "join", "leave", "plan", "backend":
+		case "join", "leave", "plan":
 			return id, id != ""
 		}
 		return "", false

@@ -128,7 +128,6 @@ func TestGroupIDFromPath(t *testing.T) {
 		{"/v1/groups/conf/plan", "conf", true},
 		{"/v1/groups/conf/join", "conf", true},
 		{"/v1/groups/conf/leave", "conf", true},
-		{"/v1/groups/conf/backend", "conf", true},
 		{"/v1/groups", "", false},
 		{"/v1/groups/", "", false},
 		{"/v1/groups/conf/nope", "", false},

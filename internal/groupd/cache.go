@@ -7,26 +7,21 @@ import (
 )
 
 // planKey identifies one cached column program: a group at a specific
-// generation, planned under a specific fault-policy version, on a
-// specific backend tier. Generations are monotonic, so a key can never
-// refer to two different memberships; a policy change (fault localized,
-// quarantine grown) bumps pv, so degraded plans never shadow healthy
-// ones; a tier transition changes bk, so the group's first Plan on the
-// new tier replans through the normal miss path and plans from
-// different backends never shadow each other. Stale entries of either
-// kind age out through normal LRU eviction.
+// generation, planned under a specific fault-policy version.
+// Generations are monotonic, so a key can never refer to two different
+// memberships; a policy change (fault localized, quarantine grown)
+// bumps pv, so degraded plans never shadow healthy ones. Stale-version
+// entries age out through normal LRU eviction.
 type planKey struct {
 	id  string
 	gen uint64
 	pv  uint64
-	bk  uint8 // backend.Tier numeric value
 }
 
 type planEntry struct {
 	key     planKey
 	blob    []byte // plancodec-encoded column program
 	columns int
-	passes  int // injection passes the program spans (1 for BRSMN)
 }
 
 // CacheStats is a point-in-time snapshot of the plan cache's counters —
@@ -91,15 +86,15 @@ func (c *planCache) peek(k planKey) (planEntry, bool) {
 	return *el.Value.(*planEntry), true
 }
 
-func (c *planCache) put(k planKey, blob []byte, columns, passes int) {
+func (c *planCache) put(k planKey, blob []byte, columns int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
-		el.Value = &planEntry{key: k, blob: blob, columns: columns, passes: passes}
+		el.Value = &planEntry{key: k, blob: blob, columns: columns}
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[k] = c.ll.PushFront(&planEntry{key: k, blob: blob, columns: columns, passes: passes})
+	c.items[k] = c.ll.PushFront(&planEntry{key: k, blob: blob, columns: columns})
 	for c.ll.Len() > c.capacity {
 		back := c.ll.Back()
 		c.ll.Remove(back)

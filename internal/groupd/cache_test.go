@@ -8,17 +8,17 @@ import (
 
 func TestPlanCacheLRUOrder(t *testing.T) {
 	c := newPlanCache(2)
-	c.put(planKey{"a", 1, 0, 1}, []byte{1}, 1, 1)
-	c.put(planKey{"b", 1, 0, 1}, []byte{2}, 1, 1)
+	c.put(planKey{"a", 1, 0}, []byte{1}, 1)
+	c.put(planKey{"b", 1, 0}, []byte{2}, 1)
 	// Touch a so b becomes the LRU victim.
-	if _, ok := c.get(planKey{"a", 1, 0, 1}); !ok {
+	if _, ok := c.get(planKey{"a", 1, 0}); !ok {
 		t.Fatal("a missing")
 	}
-	c.put(planKey{"c", 1, 0, 1}, []byte{3}, 1, 1)
-	if _, ok := c.get(planKey{"b", 1, 0, 1}); ok {
+	c.put(planKey{"c", 1, 0}, []byte{3}, 1)
+	if _, ok := c.get(planKey{"b", 1, 0}); ok {
 		t.Fatal("b not evicted")
 	}
-	if _, ok := c.get(planKey{"a", 1, 0, 1}); !ok {
+	if _, ok := c.get(planKey{"a", 1, 0}); !ok {
 		t.Fatal("a evicted despite recent use")
 	}
 	st := c.stats()
@@ -29,9 +29,9 @@ func TestPlanCacheLRUOrder(t *testing.T) {
 
 func TestPlanCachePutOverwrites(t *testing.T) {
 	c := newPlanCache(4)
-	k := planKey{"g", 7, 0, 1}
-	c.put(k, []byte{1, 2}, 3, 1)
-	c.put(k, []byte{9}, 5, 1)
+	k := planKey{"g", 7, 0}
+	c.put(k, []byte{1, 2}, 3)
+	c.put(k, []byte{9}, 5)
 	e, ok := c.get(k)
 	if !ok || !bytes.Equal(e.blob, []byte{9}) || e.columns != 5 {
 		t.Fatalf("entry = %+v ok=%v", e, ok)
@@ -43,8 +43,8 @@ func TestPlanCachePutOverwrites(t *testing.T) {
 
 func TestPlanCacheInvalidate(t *testing.T) {
 	c := newPlanCache(4)
-	k := planKey{"g", 1, 0, 1}
-	c.put(k, []byte{1}, 1, 1)
+	k := planKey{"g", 1, 0}
+	c.put(k, []byte{1}, 1)
 	c.invalidate(k)
 	c.invalidate(k) // absent: no double count
 	if _, ok := c.get(k); ok {
@@ -55,8 +55,8 @@ func TestPlanCacheInvalidate(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Distinct generations are distinct entries.
-	c.put(planKey{"g", 1, 0, 1}, []byte{1}, 1, 1)
-	c.put(planKey{"g", 2, 0, 1}, []byte{2}, 1, 1)
+	c.put(planKey{"g", 1, 0}, []byte{1}, 1)
+	c.put(planKey{"g", 2, 0}, []byte{2}, 1)
 	if st := c.stats(); st.Size != 2 {
 		t.Fatalf("size = %d, want 2 generations", st.Size)
 	}
@@ -95,8 +95,8 @@ func TestPlanCacheStatsRace(t *testing.T) {
 			defer writersWG.Done()
 			id := string(rune('a' + w))
 			for i := 0; i < iterations; i++ {
-				k := planKey{id, uint64(i % 32), 0, 1}
-				c.put(k, []byte{byte(i)}, 1, 1)
+				k := planKey{id, uint64(i % 32), 0}
+				c.put(k, []byte{byte(i)}, 1)
 				c.get(k)
 				if i%7 == 0 {
 					c.invalidate(k)

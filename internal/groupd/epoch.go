@@ -183,7 +183,7 @@ func (m *Manager) epochOver(start time.Time, snaps []groupSnapshot) (*EpochRepor
 
 	for _, sn := range live {
 		rep.Fanout += len(sn.members)
-		if _, err := m.planFor(sn.id, sn.gen, sn.source, sn.members, sn.tier); err != nil {
+		if _, err := m.planFor(sn.id, sn.gen, sn.source, sn.members); err != nil {
 			return nil, fmt.Errorf("groupd: epoch plan for %q: %w", sn.id, err)
 		}
 	}

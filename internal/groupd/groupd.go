@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"brsmn"
-	"brsmn/internal/backend"
 	"brsmn/internal/core"
 	"brsmn/internal/fabric"
 	"brsmn/internal/mcast"
@@ -112,18 +111,6 @@ type Config struct {
 	// on the fabric (faultd Fault.String() form); snapshots carry them
 	// so believed faults survive a restart alongside the groups.
 	FaultSpecs func() []string
-	// DefaultBackend is the backend preference assigned to groups
-	// created without one: a concrete tier pins them there,
-	// backend.TierAuto (the zero value) defers to TierAuto below.
-	DefaultBackend backend.Tier
-	// TierAuto, when DefaultBackend is backend.TierAuto, makes the
-	// selector tier new groups from observed workload; false (the
-	// default) keeps every group on the full BRSMN, preserving the
-	// pre-tiering behavior exactly.
-	TierAuto bool
-	// Selector sets the auto-tiering thresholds; zero fields take the
-	// defaults in backend.DefaultSelectorConfig.
-	Selector backend.SelectorConfig
 }
 
 func (c *Config) applyDefaults() {
@@ -152,10 +139,6 @@ type session struct {
 	group *brsmn.Group
 	gen   uint64
 	gone  bool // deleted from the registry while a caller still holds it
-	// tier is the group's backend-tiering state (serving tier,
-	// preference, churn EWMA, hit profile, hysteresis ladder), covered
-	// by mu like the rest of the session.
-	tier backend.GroupState
 	// chg is a ring of the session's most recent membership changes,
 	// indexed by the generation each produced (chg[gen%chgRing]); the
 	// plan-patch path replays it to roll a retained route forward.
@@ -175,12 +158,6 @@ type Manager struct {
 	seed   maphash.Seed
 	shards []*shard
 	cache  *planCache
-
-	// backends holds one Backend per tier. The BRSMN entry exists for
-	// capability/cost metadata only — BRSMN routing stays on nw so the
-	// traced, pooled, and patched paths keep working unchanged.
-	backends map[backend.Tier]backend.Backend
-	sel      *backend.Selector
 
 	nextID  atomic.Uint64
 	pending atomic.Int64 // membership changes since the last epoch began
@@ -232,11 +209,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		m.shards[i] = &shard{groups: make(map[string]*session)}
 	}
 	m.tracer = cfg.Tracer
-	m.sel = backend.NewSelector(cfg.Selector)
-	m.backends, err = backend.All(cfg.N, cfg.Engine)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.Store != nil {
 		if err := m.restore(); err != nil {
 			return nil, err
@@ -308,28 +280,6 @@ func (m *Manager) noteChange(n int) {
 	}
 }
 
-// defaultPref resolves the backend preference for groups created
-// without one: a concrete Config.DefaultBackend wins, otherwise
-// Config.TierAuto selects between selector-driven tiering and the
-// pre-tiering constant (full BRSMN).
-func (m *Manager) defaultPref() backend.Tier {
-	if m.cfg.DefaultBackend != backend.TierAuto {
-		return m.cfg.DefaultBackend
-	}
-	if m.cfg.TierAuto {
-		return backend.TierAuto
-	}
-	return backend.TierBRSMN
-}
-
-// Backends returns the manager's backend per tier (the BRSMN entry is
-// metadata-only; its routing runs on the manager's own network). The
-// map is shared — callers must not mutate it.
-func (m *Manager) Backends() map[backend.Tier]backend.Backend { return m.backends }
-
-// SelectorConfig returns the effective auto-tiering thresholds.
-func (m *Manager) SelectorConfig() backend.SelectorConfig { return m.sel.Config() }
-
 // GroupInfo is the full externally visible state of one group.
 type GroupInfo struct {
 	ID       string `json:"id"`
@@ -338,10 +288,6 @@ type GroupInfo struct {
 	Size     int    `json:"size"`
 	Members  []int  `json:"members"`
 	Sequence string `json:"sequence"`
-	// Backend is the tier the group is currently served on; BackendPref
-	// is the requested preference ("auto" delegates to the selector).
-	Backend     string `json:"backend"`
-	BackendPref string `json:"backendPref"`
 }
 
 // Update is the O(log n) acknowledgement of a join/leave: enough for the
@@ -357,15 +303,6 @@ type Update struct {
 // memberships may overlap freely across groups — the epoch scheduler
 // separates conflicting groups into rounds.
 func (m *Manager) Create(id string, source int, members []int) (GroupInfo, error) {
-	return m.CreateWithBackend(id, source, members, m.defaultPref())
-}
-
-// CreateWithBackend registers a new group with an explicit backend
-// preference: a concrete tier pins the group there, backend.TierAuto
-// lets the selector tier it from observed workload. The preference is
-// serving state, not durable state — a restart re-resolves it from the
-// manager's configured default.
-func (m *Manager) CreateWithBackend(id string, source int, members []int, pref backend.Tier) (GroupInfo, error) {
 	if m.closed.Load() {
 		return GroupInfo{}, ErrClosed
 	}
@@ -382,7 +319,6 @@ func (m *Manager) CreateWithBackend(id string, source int, members []int, pref b
 		}
 	}
 	s := &session{id: id, group: g, gen: 1}
-	m.sel.Init(&s.tier, pref, g.Len(), 1)
 	sh := m.shardFor(id)
 	sh.mu.Lock()
 	if _, ok := sh.groups[id]; ok {
@@ -447,39 +383,10 @@ func (m *Manager) mutate(id string, d int, join bool) (Update, error) {
 	s.gen++
 	s.chg[s.gen%chgRing] = memberChange{gen: s.gen, dest: int32(d), join: join}
 	u := Update{ID: s.id, Gen: s.gen, Size: s.group.Len()}
-	tier := s.tier.Tier
 	s.mu.Unlock()
-	m.cache.invalidate(planKey{id: id, gen: old, pv: m.policyVersion(), bk: uint8(tier)})
+	m.cache.invalidate(planKey{id: id, gen: old, pv: m.policyVersion()})
 	m.noteChange(1)
 	return u, nil
-}
-
-// SetBackend changes the group's backend preference. A concrete tier
-// takes effect immediately — the next Plan misses into the new tier's
-// cache key and replans there through the normal epoch path — while
-// backend.TierAuto hands the group to the selector, which keeps the
-// current tier until observations move it. Like the creation-time
-// preference, this is serving state, not durable state.
-func (m *Manager) SetBackend(id string, pref backend.Tier) (GroupInfo, error) {
-	if m.closed.Load() {
-		return GroupInfo{}, ErrClosed
-	}
-	s, err := m.sessionFor(id)
-	if err != nil {
-		return GroupInfo{}, err
-	}
-	s.mu.Lock()
-	if s.gone {
-		s.mu.Unlock()
-		return GroupInfo{}, fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	changed := m.sel.SetPref(&s.tier, pref)
-	tier := s.tier.Tier
-	s.mu.Unlock()
-	if changed {
-		m.noteBackendTransition(tier)
-	}
-	return s.info(), nil
 }
 
 // Delete unregisters the group and drops its cached plan.
@@ -502,11 +409,10 @@ func (m *Manager) Delete(id string) error {
 		return err
 	}
 	s.gone = true
-	tier := s.tier.Tier
 	s.mu.Unlock()
 	delete(sh.groups, id)
 	sh.mu.Unlock()
-	m.cache.invalidate(planKey{id: id, gen: gen, pv: m.policyVersion(), bk: uint8(tier)})
+	m.cache.invalidate(planKey{id: id, gen: gen, pv: m.policyVersion()})
 	m.noteChange(1)
 	return nil
 }
@@ -524,14 +430,12 @@ func (s *session) info() GroupInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return GroupInfo{
-		ID:          s.id,
-		Source:      s.group.Source(),
-		Gen:         s.gen,
-		Size:        s.group.Len(),
-		Members:     s.group.Members(),
-		Sequence:    s.group.Sequence(),
-		Backend:     s.tier.Tier.String(),
-		BackendPref: s.tier.Pref.String(),
+		ID:       s.id,
+		Source:   s.group.Source(),
+		Gen:      s.gen,
+		Size:     s.group.Len(),
+		Members:  s.group.Members(),
+		Sequence: s.group.Sequence(),
 	}
 }
 
@@ -574,129 +478,53 @@ type PlanInfo struct {
 	Cached  bool // true when served from the plan cache
 	Columns int
 	Blob    []byte // plancodec format
-	// Backend is the tier that planned the program; Passes is the
-	// injection passes it spans (1 for BRSMN, 2 log2(n) - 1 for the
-	// feedback network, the group's fanout for the permutation network).
-	Backend string
-	Passes  int
 }
 
 // Plan returns the group's standalone column program — the switch
 // settings a hardware configuration flow would load to realize this
 // group alone. Served from the plan cache when the group is unchanged
-// since the last computation. On a BRSMN-tier miss, a group only a few
-// join/leaves past the manager's retained patched route is rolled
-// forward by incremental plan patches (see patch.go); otherwise a full
-// route + flatten + encode on the group's serving tier.
+// since the last computation. On a miss, a group only a few join/leaves
+// past the manager's retained patched route is rolled forward by
+// incremental plan patches (see patch.go); otherwise a full route +
+// flatten + encode.
 func (m *Manager) Plan(id string) (PlanInfo, error) {
 	s, err := m.sessionFor(id)
 	if err != nil {
 		return PlanInfo{}, err
 	}
-	// Fast path: an unchanged group needs only its generation and tier
-	// to hit the cache — no O(n) member materialization. The lookup
-	// doubles as the selector's observation point: churn is fed from the
-	// generation counter, and the hit or miss lands in the group's
-	// plan-cache profile.
+	// Fast path: an unchanged group needs only its generation to hit the
+	// cache — no O(n) member materialization.
 	s.mu.Lock()
 	gen := s.gen
-	if m.sel.Observe(&s.tier, s.group.Len(), gen) {
-		m.noteBackendTransition(s.tier.Tier)
-	}
-	tier := s.tier.Tier
 	s.mu.Unlock()
-	if e, ok := m.cache.get(planKey{id: id, gen: gen, pv: m.policyVersion(), bk: uint8(tier)}); ok {
-		s.mu.Lock()
-		m.sel.RecordLookup(&s.tier, true)
-		s.mu.Unlock()
-		return PlanInfo{ID: id, Gen: gen, Cached: true, Columns: e.columns, Blob: e.blob,
-			Backend: tier.String(), Passes: e.passes}, nil
+	if e, ok := m.cache.get(planKey{id: id, gen: gen, pv: m.policyVersion()}); ok {
+		return PlanInfo{ID: id, Gen: gen, Cached: true, Columns: e.columns, Blob: e.blob}, nil
 	}
 	s.mu.Lock()
-	m.sel.RecordLookup(&s.tier, false)
 	gen = s.gen // may have moved past the missed generation; key consistently
-	tier = s.tier.Tier
 	source := s.group.Source()
 	members := s.group.Members()
 	chg := s.chg
 	s.mu.Unlock()
-	var (
-		blob    []byte
-		columns int
-		passes  = 1
-	)
-	if tier == backend.TierBRSMN {
-		blob, columns, err = m.replanOrPatch(s, gen, source, members, &chg)
-	} else {
-		blob, columns, passes, err = m.replanVia(tier, source, members)
-	}
+	blob, columns, err := m.replanOrPatch(s, gen, source, members, &chg)
 	if err != nil {
 		return PlanInfo{}, err
 	}
-	m.noteBackendRoute(tier, columns)
-	m.cache.put(planKey{id: id, gen: gen, pv: m.policyVersion(), bk: uint8(tier)}, blob, columns, passes)
-	return PlanInfo{ID: id, Gen: gen, Cached: false, Columns: columns, Blob: blob,
-		Backend: tier.String(), Passes: passes}, nil
+	m.cache.put(planKey{id: id, gen: gen, pv: m.policyVersion()}, blob, columns)
+	return PlanInfo{ID: id, Gen: gen, Cached: false, Columns: columns, Blob: blob}, nil
 }
 
-func (m *Manager) planFor(id string, gen uint64, source int, members []int, tier backend.Tier) (PlanInfo, error) {
-	k := planKey{id: id, gen: gen, pv: m.policyVersion(), bk: uint8(tier)}
+func (m *Manager) planFor(id string, gen uint64, source int, members []int) (PlanInfo, error) {
+	k := planKey{id: id, gen: gen, pv: m.policyVersion()}
 	if e, ok := m.cache.get(k); ok {
-		return PlanInfo{ID: id, Gen: gen, Cached: true, Columns: e.columns, Blob: e.blob,
-			Backend: tier.String(), Passes: e.passes}, nil
+		return PlanInfo{ID: id, Gen: gen, Cached: true, Columns: e.columns, Blob: e.blob}, nil
 	}
-	var (
-		blob    []byte
-		columns int
-		passes  = 1
-		err     error
-	)
-	if tier == backend.TierBRSMN {
-		blob, columns, err = m.replan(id, source, members)
-	} else {
-		blob, columns, passes, err = m.replanVia(tier, source, members)
-	}
+	blob, columns, err := m.replan(id, source, members)
 	if err != nil {
 		return PlanInfo{}, err
 	}
-	m.noteBackendRoute(tier, columns)
-	m.cache.put(k, blob, columns, passes)
-	return PlanInfo{ID: id, Gen: gen, Cached: false, Columns: columns, Blob: blob,
-		Backend: tier.String(), Passes: passes}, nil
-}
-
-// replanVia is the cache-miss path for the non-BRSMN tiers: the
-// generic backend route — policy-filtered like any replan — serialized
-// to the same plancodec form. Multi-pass programs encode as one column
-// sequence; a pass boundary is where the column level restarts at 1.
-func (m *Manager) replanVia(tier backend.Tier, source int, members []int) ([]byte, int, int, error) {
-	b := m.backends[tier]
-	if b == nil {
-		return nil, 0, 0, fmt.Errorf("groupd: no backend for tier %q", tier)
-	}
-	start := time.Now()
-	dests := make([][]int, m.cfg.N)
-	dests[source] = members
-	a, err := mcast.New(m.cfg.N, dests)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if m.cfg.Policy != nil {
-		a, _ = m.cfg.Policy.FilterAssignment(a)
-	}
-	r, err := b.Route(a)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	blob, err := plancodec.Encode(m.cfg.N, r.Columns)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if m.met != nil {
-		m.met.replans.Inc()
-		m.met.replanDur.ObserveDuration(time.Since(start))
-	}
-	return blob, len(r.Columns), r.Passes, nil
+	m.cache.put(k, blob, columns)
+	return PlanInfo{ID: id, Gen: gen, Cached: false, Columns: columns, Blob: blob}, nil
 }
 
 // replan is the cache-miss path: a full O(n log^2 n) route of the
@@ -769,7 +597,6 @@ type groupSnapshot struct {
 	source  int
 	gen     uint64
 	members []int
-	tier    backend.Tier
 }
 
 // snapshot freezes every registered group's state, sorted by ID so epoch
@@ -790,7 +617,6 @@ func (m *Manager) snapshot() []groupSnapshot {
 				source:  s.group.Source(),
 				gen:     s.gen,
 				members: s.group.Members(),
-				tier:    s.tier.Tier,
 			})
 			s.mu.Unlock()
 		}

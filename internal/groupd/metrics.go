@@ -24,7 +24,6 @@ package groupd
 // exposed as scrape-time funcs, so serving paths pay nothing extra.
 
 import (
-	"brsmn/internal/backend"
 	"brsmn/internal/core"
 	"brsmn/internal/obs"
 )
@@ -47,13 +46,6 @@ type managerMetrics struct {
 	// those routed afresh and those reused from the previous epoch.
 	roundsRouted *obs.Counter
 	roundsReused *obs.Counter
-
-	// Per-backend-tier accounting, indexed by backend.Tier numeric
-	// value (index 0, TierAuto, stays nil).
-	backendRoutes   [4]*obs.Counter
-	backendSwitches [4]*obs.Counter
-	backendDepth    [4]*obs.Counter
-	backendTrans    [4]*obs.Counter
 }
 
 // registerMetrics wires the manager's series into reg and returns the
@@ -91,18 +83,6 @@ func (m *Manager) registerMetrics(reg *obs.Registry) *managerMetrics {
 			[]float64{2, 3, 4, 5, 6, 7, 8, 10, 12, 16}),
 		patchDelta: reg.Histogram(lbl("brsmn_plan_patch_delta_changes"),
 			"Pending membership changes replayed per patched Plan.", []float64{1, 2, 4, 8, 16}),
-	}
-
-	for _, t := range backend.Tiers() {
-		name := t.String()
-		met.backendRoutes[t] = reg.Counter(lbl(`brsmn_backend_routes_total{backend="`+name+`"}`),
-			"Plans computed per backend tier (cache-miss routes).")
-		met.backendSwitches[t] = reg.Counter(lbl(`brsmn_backend_switches_total{backend="`+name+`"}`),
-			"Switch settings programmed per backend tier, summed over computed plans.")
-		met.backendDepth[t] = reg.Counter(lbl(`brsmn_backend_depth_total{backend="`+name+`"}`),
-			"Column depth traversed per backend tier, summed over computed plans (multi-pass tiers count every pass).")
-		met.backendTrans[t] = reg.Counter(lbl(`brsmn_backend_transitions_total{backend="`+name+`"}`),
-			"Backend tier transitions, labelled by the tier transitioned to.")
 	}
 
 	cacheOp := func(name string, read func(CacheStats) uint64) {
@@ -169,25 +149,4 @@ func (m *Manager) registerMetrics(reg *obs.Registry) *managerMetrics {
 			func() float64 { return m.recovered.Duration.Seconds() })
 	}
 	return met
-}
-
-// noteBackendRoute accounts one computed plan against its tier: the
-// route itself, the switch settings it programs (columns x n/2), and
-// the column depth it traverses.
-func (m *Manager) noteBackendRoute(t backend.Tier, columns int) {
-	if m.met == nil || int(t) >= len(m.met.backendRoutes) || m.met.backendRoutes[t] == nil {
-		return
-	}
-	m.met.backendRoutes[t].Inc()
-	m.met.backendSwitches[t].Add(uint64(columns) * uint64(m.cfg.N/2))
-	m.met.backendDepth[t].Add(uint64(columns))
-}
-
-// noteBackendTransition accounts one tier transition under the tier
-// transitioned to.
-func (m *Manager) noteBackendTransition(t backend.Tier) {
-	if m.met == nil || int(t) >= len(m.met.backendTrans) || m.met.backendTrans[t] == nil {
-		return
-	}
-	m.met.backendTrans[t].Inc()
 }

@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"brsmn"
-	"brsmn/internal/backend"
 	"brsmn/internal/store"
 )
 
@@ -57,14 +56,11 @@ func (m *Manager) ExportGroup(id string) (store.GroupState, *store.PlanState, er
 	return g, m.peekPlan(g.ID, g.Gen), nil
 }
 
-// peekPlan harvests the warm healthy-fabric (pv 0) BRSMN-tier plan for
-// (id, gen) without skewing cache stats or recency — the same entry a
-// snapshot would carry. Plans from the other tiers don't travel: the
-// backend preference is serving state, so a migrated or recovered
-// group starts on the destination's default tier and BRSMN is the only
-// tier guaranteed to hit again.
+// peekPlan harvests the warm healthy-fabric (pv 0) plan for (id, gen)
+// without skewing cache stats or recency — the same entry a snapshot
+// would carry.
 func (m *Manager) peekPlan(id string, gen uint64) *store.PlanState {
-	if e, ok := m.cache.peek(planKey{id: id, gen: gen, pv: 0, bk: uint8(backend.TierBRSMN)}); ok {
+	if e, ok := m.cache.peek(planKey{id: id, gen: gen, pv: 0}); ok {
 		return &store.PlanState{ID: id, Gen: gen, Columns: e.columns, Blob: e.blob}
 	}
 	return nil
@@ -115,18 +111,15 @@ func (m *Manager) Install(g store.GroupState, plan *store.PlanState) error {
 			return err
 		}
 		old.gone = true
-		oldTier := old.tier.Tier
 		old.mu.Unlock()
 		delete(sh.groups, g.ID)
-		m.cache.invalidate(planKey{id: g.ID, gen: oldGen, pv: m.policyVersion(), bk: uint8(oldTier)})
+		m.cache.invalidate(planKey{id: g.ID, gen: oldGen, pv: m.policyVersion()})
 	}
 	if err := m.appendRecord(store.Record{Op: store.OpCreate, Group: g.ID, Source: g.Source, Gen: gen, Members: g.Members}); err != nil {
 		sh.mu.Unlock()
 		return err
 	}
-	s := &session{id: g.ID, group: ng, gen: gen}
-	m.sel.Init(&s.tier, m.defaultPref(), ng.Len(), gen)
-	sh.groups[g.ID] = s
+	sh.groups[g.ID] = &session{id: g.ID, group: ng, gen: gen}
 	sh.mu.Unlock()
 	if plan != nil {
 		m.installPlan(g.ID, gen, plan)
@@ -136,11 +129,10 @@ func (m *Manager) Install(g store.GroupState, plan *store.PlanState) error {
 }
 
 // installPlan seeds the cache with a migrated warm plan under the
-// healthy-fabric version and BRSMN tier — the same key snapshot
-// recovery uses, so a clean fabric's first Plan after migration is a
-// byte-identical hit (when the group lands on the BRSMN tier).
+// healthy-fabric version — the same key snapshot recovery uses, so a
+// clean fabric's first Plan after migration is a byte-identical hit.
 func (m *Manager) installPlan(id string, gen uint64, plan *store.PlanState) {
-	m.cache.put(planKey{id: id, gen: gen, pv: 0, bk: uint8(backend.TierBRSMN)}, plan.Blob, plan.Columns, 1)
+	m.cache.put(planKey{id: id, gen: gen, pv: 0}, plan.Blob, plan.Columns)
 }
 
 // DeleteIfGen unregisters the group only if its generation still equals
@@ -171,11 +163,10 @@ func (m *Manager) DeleteIfGen(id string, gen uint64) error {
 		return err
 	}
 	s.gone = true
-	tier := s.tier.Tier
 	s.mu.Unlock()
 	delete(sh.groups, id)
 	sh.mu.Unlock()
-	m.cache.invalidate(planKey{id: id, gen: gen, pv: m.policyVersion(), bk: uint8(tier)})
+	m.cache.invalidate(planKey{id: id, gen: gen, pv: m.policyVersion()})
 	m.noteChange(1)
 	return nil
 }

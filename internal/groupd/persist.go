@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"brsmn"
-	"brsmn/internal/backend"
 	"brsmn/internal/store"
 )
 
@@ -136,11 +135,10 @@ func (m *Manager) snapshotToStore() (store.SnapshotInfo, error) {
 	snap := store.Snapshot{LSN: lsn, Epoch: m.epochN.Load(), NextID: m.nextID.Load()}
 	for _, sn := range snaps {
 		snap.Groups = append(snap.Groups, store.GroupState{ID: sn.id, Source: sn.source, Gen: sn.gen, Members: sn.members})
-		// Persist only healthy-fabric (pv 0) BRSMN-tier plans for the
-		// current generation: a fresh boot starts at policy version 0
-		// with tier state re-resolved from config, so these are exactly
-		// the entries that can hit again.
-		if e, ok := m.cache.peek(planKey{id: sn.id, gen: sn.gen, pv: 0, bk: uint8(backend.TierBRSMN)}); ok {
+		// Persist only healthy-fabric (pv 0) plans for the current
+		// generation: a fresh boot starts at policy version 0, so these
+		// are exactly the entries that can hit again.
+		if e, ok := m.cache.peek(planKey{id: sn.id, gen: sn.gen, pv: 0}); ok {
 			snap.Plans = append(snap.Plans, store.PlanState{ID: sn.id, Gen: sn.gen, Columns: e.columns, Blob: e.blob})
 		}
 	}
@@ -184,7 +182,7 @@ func (m *Manager) restore() error {
 			}
 		}
 		for _, p := range snap.Plans {
-			m.cache.put(planKey{id: p.ID, gen: p.Gen, pv: 0, bk: uint8(backend.TierBRSMN)}, p.Blob, p.Columns, 1)
+			m.cache.put(planKey{id: p.ID, gen: p.Gen, pv: 0}, p.Blob, p.Columns)
 			m.recovered.Plans++
 		}
 	}
@@ -223,9 +221,7 @@ func (m *Manager) restoreGroup(id string, source int, gen uint64, members []int)
 	if gen == 0 {
 		gen = 1
 	}
-	s := &session{id: id, group: g, gen: gen}
-	m.sel.Init(&s.tier, m.defaultPref(), g.Len(), gen)
-	m.shardFor(id).groups[id] = s
+	m.shardFor(id).groups[id] = &session{id: id, group: g, gen: gen}
 	return nil
 }
 

@@ -27,9 +27,8 @@ type TierMeasurement struct {
 }
 
 // TiersReport is the machine-readable tiers benchmark behind
-// BENCH_tiers.json: every planner backend routing every workload class
-// the selector tiers between, so the crossover the auto-tiering policy
-// exploits is visible in one table.
+// BENCH_tiers.json: every planner backend routing a tiny and a dense
+// workload class, so the fabrics' planning costs compare in one table.
 type TiersReport struct {
 	Experiment string            `json:"experiment"`
 	N          int               `json:"n"`
@@ -50,8 +49,8 @@ func TiersBench(n, trials int, seed int64) (*TiersReport, error) {
 		trials = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
-	// One source, fanout 2, everyone else idle — the group shape the
-	// selector tiers onto permnet.
+	// One source, fanout 2, everyone else idle — the smallest multicast
+	// group, where permnet needs the fewest passes.
 	tinyDests := make([][]int, n)
 	tinyDests[0] = []int{1, 2}
 	tiny, err := mcast.New(n, tinyDests)

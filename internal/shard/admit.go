@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"brsmn/internal/backend"
 	"brsmn/internal/groupd"
 )
 
@@ -44,7 +43,6 @@ const (
 	opLeave
 	opDelete
 	opPlan
-	opSetBackend
 	// opBarrier is a no-op used by writers (rebalance, tests) to prove a
 	// shard's queue has drained: once the barrier completes, everything
 	// enqueued before it has executed.
@@ -64,8 +62,6 @@ func (op opKind) String() string {
 		return "delete"
 	case opPlan:
 		return "plan"
-	case opSetBackend:
-		return "setBackend"
 	default:
 		return "barrier"
 	}
@@ -87,10 +83,6 @@ type task struct {
 	dest    int
 	source  int
 	members []int
-	// pref carries a backend preference for opCreate (when hasPref) and
-	// opSetBackend.
-	pref    backend.Tier
-	hasPref bool
 
 	info groupd.GroupInfo
 	up   groupd.Update
@@ -125,7 +117,6 @@ func (s *Set) putTask(t *task) {
 	t.up = groupd.Update{}
 	t.plan = groupd.PlanInfo{}
 	t.err = nil
-	t.pref, t.hasPref = backend.TierAuto, false
 	t.tk = nil
 	t.enq, t.drained, t.execed = 0, 0, 0
 	t.state.Store(taskPending)
@@ -327,11 +318,7 @@ func (sh *Shard) finish(t *task) {
 func (sh *Shard) exec(t *task) {
 	switch t.op {
 	case opCreate:
-		if t.hasPref {
-			t.info, t.err = sh.gm.CreateWithBackend(t.id, t.source, t.members, t.pref)
-		} else {
-			t.info, t.err = sh.gm.Create(t.id, t.source, t.members)
-		}
+		t.info, t.err = sh.gm.Create(t.id, t.source, t.members)
 	case opJoin:
 		t.up, t.err = sh.gm.Join(t.id, t.dest)
 	case opLeave:
@@ -340,7 +327,5 @@ func (sh *Shard) exec(t *task) {
 		t.err = sh.gm.Delete(t.id)
 	case opPlan:
 		t.plan, t.err = sh.gm.Plan(t.id)
-	case opSetBackend:
-		t.info, t.err = sh.gm.SetBackend(t.id, t.pref)
 	}
 }

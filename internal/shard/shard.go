@@ -53,7 +53,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"brsmn/internal/backend"
 	"brsmn/internal/groupd"
 	"brsmn/internal/obs"
 	"brsmn/internal/store"
@@ -517,43 +516,6 @@ func (s *Set) CreateContext(ctx context.Context, id string, source int, members 
 	return s.admitInfo(ctx, t)
 }
 
-// CreateWithBackend registers a group with an explicit backend
-// preference (see groupd.Manager.CreateWithBackend).
-func (s *Set) CreateWithBackend(id string, source int, members []int, pref backend.Tier) (groupd.GroupInfo, error) {
-	return s.CreateWithBackendContext(context.Background(), id, source, members, pref)
-}
-
-// CreateWithBackendContext is CreateWithBackend with cancellation.
-func (s *Set) CreateWithBackendContext(ctx context.Context, id string, source int, members []int, pref backend.Tier) (groupd.GroupInfo, error) {
-	if id == "" {
-		id = fmt.Sprintf("g%d", s.nextID.Add(1))
-	}
-	t := s.getTask()
-	t.op = opCreate
-	t.id = id
-	t.source = source
-	t.members = members
-	t.pref = pref
-	t.hasPref = true
-	return s.admitInfo(ctx, t)
-}
-
-// SetBackend changes the group's backend preference on its owning
-// shard (see groupd.Manager.SetBackend).
-func (s *Set) SetBackend(id string, pref backend.Tier) (groupd.GroupInfo, error) {
-	return s.SetBackendContext(context.Background(), id, pref)
-}
-
-// SetBackendContext is SetBackend with cancellation.
-func (s *Set) SetBackendContext(ctx context.Context, id string, pref backend.Tier) (groupd.GroupInfo, error) {
-	t := s.getTask()
-	t.op = opSetBackend
-	t.id = id
-	t.pref = pref
-	t.hasPref = true
-	return s.admitInfo(ctx, t)
-}
-
 // Join admits output d to the group on its owning shard.
 func (s *Set) Join(id string, d int) (groupd.Update, error) {
 	return s.JoinContext(context.Background(), id, d)
@@ -609,18 +571,6 @@ func (s *Set) PlanContext(ctx context.Context, id string) (groupd.PlanInfo, erro
 	t.op = opPlan
 	t.id = id
 	return s.admitPlan(ctx, t)
-}
-
-// Backends returns the per-tier backends (metadata: name, patch
-// capability, cost rows). Every shard plans on identically configured
-// backends, so any live manager's table serves.
-func (s *Set) Backends() map[backend.Tier]backend.Backend {
-	return s.shards[0].gm.Backends()
-}
-
-// SelectorConfig returns the effective auto-tiering thresholds.
-func (s *Set) SelectorConfig() backend.SelectorConfig {
-	return s.shards[0].gm.SelectorConfig()
 }
 
 // Get reads the group's state from its owning shard (no admission —
@@ -841,11 +791,7 @@ func (s *Set) rebalanceLocked() error {
 			if to == from {
 				continue
 			}
-			pref, perr := backend.ParseTier(info.BackendPref)
-			if perr != nil {
-				pref = backend.TierAuto
-			}
-			if _, err := to.gm.CreateWithBackend(info.ID, info.Source, info.Members, pref); err != nil {
+			if _, err := to.gm.Create(info.ID, info.Source, info.Members); err != nil {
 				if firstErr == nil {
 					firstErr = fmt.Errorf("shard: migrating %q to shard %d: %w", info.ID, to.id, err)
 				}

@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"brsmn/internal/backend"
 	"brsmn/internal/groupd"
 )
 
@@ -352,22 +351,6 @@ func (s *Set) SubmitCreate(id string, source int, members []int) (*Ticket, error
 	t.id = id
 	t.source = source
 	t.members = members
-	return s.submitTask(t)
-}
-
-// SubmitCreateWithBackend asynchronously registers a group with an
-// explicit backend preference.
-func (s *Set) SubmitCreateWithBackend(id string, source int, members []int, pref backend.Tier) (*Ticket, error) {
-	if id == "" {
-		id = fmt.Sprintf("g%d", s.nextID.Add(1))
-	}
-	t := s.getTask()
-	t.op = opCreate
-	t.id = id
-	t.source = source
-	t.members = members
-	t.pref = pref
-	t.hasPref = true
 	return s.submitTask(t)
 }
 
