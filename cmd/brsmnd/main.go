@@ -363,10 +363,7 @@ func newHandler(cfg config) (http.Handler, *daemon, error) {
 			}
 		}
 	}
-	opts := []api.Option{api.WithShards(set, monitors)}
-	if cfg.dataDir != "" {
-		opts = append(opts, api.WithSnapshots(set))
-	}
+	var opts []api.Option
 	if reg != nil {
 		opts = append(opts, api.WithMetrics(reg))
 	}
@@ -386,7 +383,7 @@ func newHandler(cfg config) (http.Handler, *daemon, error) {
 			return d.node.Ready()
 		}))
 	}
-	apiHandler := api.NewServer(eng, set, nil, opts...)
+	apiHandler := api.NewServer(eng, set, monitors, opts...)
 	if cfg.nodeID == "" {
 		return apiHandler, d, nil
 	}

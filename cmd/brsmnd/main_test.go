@@ -242,14 +242,12 @@ func TestHandlerRoundTrip(t *testing.T) {
 		t.Fatalf("healthz shards = %+v", h.Shards)
 	}
 
-	// The legacy paths still work end to end: 308 replays the POST body
-	// against the /v1 successor.
-	resp, err = http.Post(ts.URL+"/groups/g/leave", "application/json", strings.NewReader(`{"dest":7}`))
+	resp, err = http.Post(ts.URL+"/v1/groups/g/leave", "application/json", strings.NewReader(`{"dest":7}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code := unwrap(t, resp, nil); code != http.StatusOK {
-		t.Fatalf("legacy leave = %d", code)
+		t.Fatalf("leave = %d", code)
 	}
 }
 

@@ -6,33 +6,17 @@ package api
 //
 // Forces an immediate snapshot — and the log truncation that follows it
 // — on every durable shard, so an operator can bound recovery time
-// before a planned restart. Answers 503 when the daemon runs without a
-// durable store (-data-dir unset).
+// before a planned restart. Answers 503 when the set runs without a
+// durable store (brsmnd's -data-dir unset): SnapshotAll then reports
+// groupd.ErrNoStore.
 
 import (
 	"errors"
 	"net/http"
 
 	"brsmn/internal/groupd"
-	"brsmn/internal/shard"
 	"brsmn/internal/store"
 )
-
-// Snapshotter is the durability control contract: *groupd.Manager (one
-// stream) and *shard.Set (one stream per shard) both implement it.
-type Snapshotter interface {
-	SnapshotAll() ([]store.SnapshotInfo, error)
-}
-
-var (
-	_ Snapshotter = (*groupd.Manager)(nil)
-	_ Snapshotter = (*shard.Set)(nil)
-)
-
-// WithSnapshots enables POST /v1/admin/snapshot against snap.
-func WithSnapshots(snap Snapshotter) Option {
-	return func(s *Server) { s.snap = snap }
-}
 
 // SnapshotResponse is the POST /v1/admin/snapshot reply.
 type SnapshotResponse struct {
@@ -40,11 +24,7 @@ type SnapshotResponse struct {
 }
 
 func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.snap == nil {
-		writeError(w, http.StatusServiceUnavailable, CodeUnavailable, "api: durable store not enabled")
-		return
-	}
-	infos, err := s.snap.SnapshotAll()
+	infos, err := s.set.SnapshotAll()
 	if err != nil {
 		if errors.Is(err, groupd.ErrNoStore) {
 			writeError(w, http.StatusServiceUnavailable, CodeUnavailable, "api: durable store not enabled")

@@ -5,19 +5,17 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"brsmn/internal/groupd"
 	"brsmn/internal/rbn"
+	"brsmn/internal/shard"
 	"brsmn/internal/store"
 )
 
 func TestAdminSnapshotEndpoint(t *testing.T) {
 	st := store.NewMem()
-	gm, err := groupd.NewManager(groupd.Config{N: 16, Engine: rbn.Sequential, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { gm.Close() })
-	ts := httptest.NewServer(NewServer(rbn.Sequential, gm, nil, WithSnapshots(gm)))
+	set := newTestSet(t, func(c *shard.Config) {
+		c.NewStore = func(int) (store.Store, error) { return st, nil }
+	})
+	ts := httptest.NewServer(NewServer(rbn.Sequential, set, nil))
 	t.Cleanup(ts.Close)
 
 	if code := doJSON(t, "POST", ts.URL+"/v1/groups",
@@ -43,8 +41,9 @@ func TestAdminSnapshotEndpoint(t *testing.T) {
 }
 
 func TestAdminSnapshotUnavailable(t *testing.T) {
-	// No WithSnapshots option: the endpoint answers 503.
-	ts := newGroupServer(t)
+	// A storeless set: SnapshotAll reports groupd.ErrNoStore, which the
+	// endpoint maps to 503.
+	ts := newTestServer(t)
 	if code := doJSON(t, "POST", ts.URL+"/v1/admin/snapshot", nil, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("snapshot without store = %d, want 503", code)
 	}

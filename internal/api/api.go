@@ -13,22 +13,16 @@
 //	GET  /v1/cost?n=256
 //	GET  /v1/sequence?n=8&dests=3,4,7
 //
-// With a sharded backend (WithShards), the group endpoints additionally
-// accept ?async=1 for ticketed admission, served by the /v1/tickets
-// surface of tickets.go (202 + ticket ID, long-poll, SSE).
+// Every Server fronts a *shard.Set, which serves the stateful group
+// endpoints of groups.go (with ?async=1 ticketed admission through the
+// /v1/tickets surface of tickets.go: 202 + ticket ID, long-poll, SSE)
+// and the shard introspection and rebalance endpoints of shards.go. One
+// faultd.Monitor per shard enables the fault endpoints of faults.go.
 //
-// A Server constructed with a Groups backend (a *groupd.Manager, or the
-// sharded *shard.Set) additionally serves the stateful group endpoints
-// of groups.go; a *faultd.Monitor enables the fault endpoints of
-// faults.go; WithShards enables the shard introspection and rebalance
-// endpoints of shards.go.
-//
-// The pre-/v1 paths remain as deprecated aliases: they answer 301 (GET,
-// HEAD) or 308 (everything else) to the /v1 successor, carrying
-// `Deprecation: true` and a `Link: …; rel="successor-version"` header.
-// GET /healthz and GET /metrics are additionally served directly at
-// their legacy paths — load balancers and Prometheus scrapers don't
-// chase redirects. A Server is safe for concurrent use.
+// GET /healthz, /readyz and /metrics are additionally served at their
+// unversioned paths for load balancers, probes and Prometheus scrapers;
+// every other unversioned path is the catch-all 404. A Server is safe
+// for concurrent use.
 package api
 
 import (
@@ -55,10 +49,7 @@ import (
 // Server handles the HTTP API. Construct with NewServer.
 type Server struct {
 	eng      rbn.Engine
-	groups   Groups
-	fm       *faultd.Monitor
 	set      *shard.Set
-	snap     Snapshotter
 	monitors []*faultd.Monitor
 	reg      *obs.Registry
 	tracer   *obs.TraceRecorder
@@ -67,14 +58,13 @@ type Server struct {
 }
 
 // NewServer returns a handler-ready server using the given engine for
-// switch setting. g may be nil, which disables the stateful group
-// endpoints (they answer 503) while /v1/healthz and the stateless
-// handlers keep working; fm may likewise be nil, which disables the
-// fault-management endpoints of faults.go. Options wire the optional
-// observability surfaces of obs.go and the sharded serving layer of
-// shards.go.
-func NewServer(eng rbn.Engine, g Groups, fm *faultd.Monitor, opts ...Option) *Server {
-	s := &Server{eng: eng, groups: g, fm: fm, mux: http.NewServeMux()}
+// switch setting. set serves the group, ticket, epoch, shard and
+// snapshot endpoints and must be non-nil. monitors holds one fault
+// monitor per shard and backs the ?shard=k selector of faults.go; when
+// it is empty the fault endpoints answer 503. Options wire the optional
+// observability and readiness surfaces of obs.go and ready.go.
+func NewServer(eng rbn.Engine, set *shard.Set, monitors []*faultd.Monitor, opts ...Option) *Server {
+	s := &Server{eng: eng, set: set, monitors: monitors, mux: http.NewServeMux()}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -86,29 +76,29 @@ func NewServer(eng rbn.Engine, g Groups, fm *faultd.Monitor, opts ...Option) *Se
 	s.route("GET /v1/sequence", "sequence", s.handleSequence)
 	s.route("GET /v1/healthz", "healthz", s.handleHealthz)
 	s.route("GET /v1/readyz", "readyz", s.handleReadyz)
-	s.route("POST /v1/groups", "group_create", s.withGroups(s.handleGroupCreate))
-	s.route("GET /v1/groups", "group_list", s.withGroups(s.handleGroupList))
-	s.route("GET /v1/groups/{id}", "group_get", s.withGroups(s.handleGroupGet))
-	s.route("POST /v1/groups/{id}/join", "group_join", s.withGroups(s.handleGroupJoin))
-	s.route("POST /v1/groups/{id}/leave", "group_leave", s.withGroups(s.handleGroupLeave))
-	s.route("DELETE /v1/groups/{id}", "group_delete", s.withGroups(s.handleGroupDelete))
-	s.route("GET /v1/groups/{id}/plan", "group_plan", s.withGroups(s.handleGroupPlan))
-	s.route("GET /v1/backends", "backends", s.withGroups(s.handleBackends))
-	s.route("POST /v1/tickets", "ticket_submit", s.withTickets(s.handleTicketSubmit))
-	s.route("GET /v1/tickets", "ticket_stats", s.withTickets(s.handleTicketStats))
-	s.route("GET /v1/tickets/{id}", "ticket_get", s.withTickets(s.handleTicketGet))
-	s.route("GET /v1/tickets/{id}/events", "ticket_events", s.withTickets(s.handleTicketEvents))
-	s.route("GET /v1/epoch", "epoch", s.withGroups(s.handleEpochGet))
-	s.route("POST /v1/epoch", "epoch", s.withGroups(s.handleEpochRun))
+	s.route("POST /v1/groups", "group_create", s.handleGroupCreate)
+	s.route("GET /v1/groups", "group_list", s.handleGroupList)
+	s.route("GET /v1/groups/{id}", "group_get", s.handleGroupGet)
+	s.route("POST /v1/groups/{id}/join", "group_join", s.handleGroupJoin)
+	s.route("POST /v1/groups/{id}/leave", "group_leave", s.handleGroupLeave)
+	s.route("DELETE /v1/groups/{id}", "group_delete", s.handleGroupDelete)
+	s.route("GET /v1/groups/{id}/plan", "group_plan", s.handleGroupPlan)
+	s.route("GET /v1/backends", "backends", s.handleBackends)
+	s.route("POST /v1/tickets", "ticket_submit", s.handleTicketSubmit)
+	s.route("GET /v1/tickets", "ticket_stats", s.handleTicketStats)
+	s.route("GET /v1/tickets/{id}", "ticket_get", s.handleTicketGet)
+	s.route("GET /v1/tickets/{id}/events", "ticket_events", s.handleTicketEvents)
+	s.route("GET /v1/epoch", "epoch", s.handleEpochGet)
+	s.route("POST /v1/epoch", "epoch", s.handleEpochRun)
 	s.route("GET /v1/faults", "faults", s.withFaults(s.handleFaultsGet))
 	s.route("POST /v1/faults", "faults", s.withFaults(s.handleFaultsPost))
 	s.route("DELETE /v1/faults", "faults", s.withFaults(s.handleFaultsDelete))
 	s.route("GET /v1/faults/report", "faults_report", s.withFaults(s.handleFaultsReport))
 	s.route("POST /v1/probe", "probe", s.withFaults(s.handleProbe))
 	s.route("POST /v1/admin/snapshot", "admin_snapshot", s.handleAdminSnapshot)
-	s.route("GET /v1/shards", "shards", s.withShards(s.handleShards))
-	s.route("POST /v1/shards/{id}/quarantine", "shard_quarantine", s.withShards(s.handleShardQuarantine))
-	s.route("POST /v1/shards/{id}/reinstate", "shard_reinstate", s.withShards(s.handleShardReinstate))
+	s.route("GET /v1/shards", "shards", s.handleShards)
+	s.route("POST /v1/shards/{id}/quarantine", "shard_quarantine", s.handleShardQuarantine)
+	s.route("POST /v1/shards/{id}/reinstate", "shard_reinstate", s.handleShardReinstate)
 	s.route("GET /v1/metrics", "metrics", s.handleMetrics)
 	s.route("GET /v1/trace/{group}", "trace", s.handleTrace)
 
@@ -152,8 +142,6 @@ func NewServer(eng rbn.Engine, g Groups, fm *faultd.Monitor, opts ...Option) *Se
 	s.notAllowed("/healthz", "GET")
 	s.notAllowed("/readyz", "GET")
 	s.notAllowed("/metrics", "GET")
-
-	s.registerLegacy()
 
 	// The catch-all 404 goes through the same envelope writer as every
 	// other error — no plain-text leaks.

@@ -12,14 +12,34 @@ import (
 
 	"brsmn/internal/bsn"
 	"brsmn/internal/fabric"
+	"brsmn/internal/groupd"
 	"brsmn/internal/plancodec"
 	"brsmn/internal/rbn"
+	"brsmn/internal/shard"
 	"brsmn/internal/workload"
 )
 
+// newTestSet returns a one-shard Set over a 16-port fabric in
+// manual-epoch mode, closed when the test ends. mutate, when non-nil,
+// adjusts the config first: shard count, store, fault policy, metrics.
+func newTestSet(t *testing.T, mutate func(*shard.Config)) *shard.Set {
+	t.Helper()
+	cfg := shard.Config{Group: groupd.Config{N: 16, Engine: rbn.Sequential}}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	set, err := shard.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { set.Close() })
+	return set
+}
+
+// newTestServer serves a one-shard Set without fault monitors.
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(NewServer(rbn.Sequential, nil, nil))
+	ts := httptest.NewServer(NewServer(rbn.Sequential, newTestSet(t, nil), nil))
 	t.Cleanup(ts.Close)
 	return ts
 }

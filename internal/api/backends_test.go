@@ -2,17 +2,15 @@ package api
 
 import (
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"brsmn/internal/cost"
-	"brsmn/internal/rbn"
 )
 
 // TestBackendsEndpoint checks the backend catalogue: every fabric with
 // its patch capability and cost row at the serving size.
 func TestBackendsEndpoint(t *testing.T) {
-	ts := newGroupServer(t)
+	ts := newTestServer(t)
 
 	var got BackendsResponse
 	if code := doJSON(t, "GET", ts.URL+"/v1/backends", nil, &got); code != http.StatusOK {
@@ -38,20 +36,12 @@ func TestBackendsEndpoint(t *testing.T) {
 			t.Errorf("row %d = %+v, want %s patch=%v cost %+v", i, b, w.name, w.patch, w.cost)
 		}
 	}
-
-	// Without a group manager the endpoint degrades like the rest of the
-	// group surface: 503.
-	bare := httptest.NewServer(NewServer(rbn.Sequential, nil, nil))
-	defer bare.Close()
-	if code := doJSON(t, "GET", bare.URL+"/v1/backends", nil, nil); code != http.StatusServiceUnavailable {
-		t.Errorf("GET /v1/backends without groups = %d, want 503", code)
-	}
 }
 
 // TestGroupBackendHTTP checks that a created group is planned on the
 // full BRSMN: one pass, with the BRSMN cost row at the serving size.
 func TestGroupBackendHTTP(t *testing.T) {
-	ts := newGroupServer(t)
+	ts := newTestServer(t)
 
 	if code := doJSON(t, "POST", ts.URL+"/v1/groups",
 		CreateGroupRequest{ID: "conf", Source: 2, Members: []int{3, 4, 7}}, nil); code != http.StatusCreated {

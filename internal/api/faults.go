@@ -1,7 +1,7 @@
 package api
 
 // Fault-management endpoints, backed by one faultd.Monitor per serving
-// shard (or a single monitor when unsharded):
+// shard:
 //
 //	GET    /v1/faults          -> the armed fault set
 //	POST   /v1/faults          {"spec":"stuck:3:1:cross"} or {"faults":[…]} -> the updated set
@@ -9,10 +9,8 @@ package api
 //	GET    /v1/faults/report   -> full fault-management state (stats, candidates, quarantine)
 //	POST   /v1/probe           -> run a probe round now, return its report
 //
-// When the server fronts several monitors (WithShards), the ?shard=k
-// query parameter selects the fabric; it defaults to shard 0. Without
-// any monitor these endpoints answer 503, mirroring the group endpoints
-// without a backend.
+// The ?shard=k query parameter selects the fabric; it defaults to
+// shard 0. Without any monitor these endpoints answer 503.
 
 import (
 	"fmt"
@@ -32,20 +30,17 @@ func (s *Server) withFaults(h func(http.ResponseWriter, *http.Request)) http.Han
 }
 
 // defaultMonitor is the monitor fault requests address without an
-// explicit ?shard: the single unsharded monitor, or shard 0's.
+// explicit ?shard: shard 0's, or nil without monitors.
 func (s *Server) defaultMonitor() *faultd.Monitor {
-	if s.fm != nil {
-		return s.fm
-	}
 	if len(s.monitors) > 0 {
 		return s.monitors[0]
 	}
 	return nil
 }
 
-// monitorFor resolves the ?shard=k selector. With a single monitor any
-// explicit non-zero selector is rejected, so clients can't silently
-// address a fabric that isn't there.
+// monitorFor resolves the ?shard=k selector. A selector past the last
+// monitor is a 404, so clients can't silently address a fabric that
+// isn't there.
 func (s *Server) monitorFor(w http.ResponseWriter, r *http.Request) *faultd.Monitor {
 	q := r.URL.Query()
 	var fields []FieldError
@@ -54,20 +49,12 @@ func (s *Server) monitorFor(w http.ResponseWriter, r *http.Request) *faultd.Moni
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "invalid request", fields...)
 		return nil
 	}
-	if len(s.monitors) > 0 {
-		if k >= len(s.monitors) {
-			writeError(w, http.StatusNotFound, CodeNotFound,
-				fmt.Sprintf("api: no shard %d (have %d)", k, len(s.monitors)))
-			return nil
-		}
-		return s.monitors[k]
-	}
-	if k != 0 {
+	if k >= len(s.monitors) {
 		writeError(w, http.StatusNotFound, CodeNotFound,
-			fmt.Sprintf("api: no shard %d on an unsharded server", k))
+			fmt.Sprintf("api: no shard %d (have %d)", k, len(s.monitors)))
 		return nil
 	}
-	return s.fm
+	return s.monitors[k]
 }
 
 // FaultsResponse is the GET /v1/faults (and POST /v1/faults) reply.

@@ -8,11 +8,12 @@ import (
 	"brsmn/internal/faultd"
 	"brsmn/internal/groupd"
 	"brsmn/internal/rbn"
+	"brsmn/internal/shard"
 	"brsmn/internal/swbox"
 )
 
-// newFaultServer spins up a server with a 16-port group manager and a
-// fault monitor wired in as its policy, manual-epoch mode.
+// newFaultServer spins up a server over a one-shard Set with a fault
+// monitor wired in as the shard's policy, manual-epoch mode.
 func newFaultServer(t *testing.T) (*httptest.Server, *faultd.Monitor) {
 	t.Helper()
 	inj := faultd.NewInjector(1)
@@ -20,12 +21,10 @@ func newFaultServer(t *testing.T) (*httptest.Server, *faultd.Monitor) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gm, err := groupd.NewManager(groupd.Config{N: 16, Engine: rbn.Sequential, Policy: fm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { gm.Close() })
-	ts := httptest.NewServer(NewServer(rbn.Sequential, gm, fm))
+	set := newTestSet(t, func(c *shard.Config) {
+		c.NewPolicy = func(int) groupd.FaultPolicy { return fm }
+	})
+	ts := httptest.NewServer(NewServer(rbn.Sequential, set, []*faultd.Monitor{fm}))
 	t.Cleanup(ts.Close)
 	return ts, fm
 }
@@ -108,7 +107,7 @@ func TestFaultEndpointsValidate(t *testing.T) {
 	if fm.Injector().Active() {
 		t.Fatal("rejected requests armed faults")
 	}
-	// The ?shard selector on an unsharded server: 0 is the monitor,
+	// The ?shard selector on a one-shard server: 0 is the monitor,
 	// anything else does not exist.
 	if code := doJSON(t, "GET", ts.URL+"/v1/faults?shard=0", nil, nil); code != http.StatusOK {
 		t.Fatalf("shard=0 = %d, want 200", code)
@@ -122,8 +121,7 @@ func TestFaultEndpointsValidate(t *testing.T) {
 }
 
 func TestFaultEndpointsDisabledWithoutMonitor(t *testing.T) {
-	ts := httptest.NewServer(NewServer(rbn.Sequential, nil, nil))
-	t.Cleanup(ts.Close)
+	ts := newTestServer(t)
 	for _, ep := range []struct{ method, path string }{
 		{"GET", "/v1/faults"}, {"POST", "/v1/faults"}, {"DELETE", "/v1/faults"},
 		{"GET", "/v1/faults/report"}, {"POST", "/v1/probe"},

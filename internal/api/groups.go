@@ -1,7 +1,6 @@
 package api
 
-// Stateful group endpoints, backed by any Groups implementation — a
-// single *groupd.Manager, or the sharded *shard.Set:
+// Stateful group endpoints, served by the sharded *shard.Set:
 //
 //	POST   /v1/groups              {"id":"conf","source":2,"members":[3,4,7]} -> group state
 //	GET    /v1/groups              -> {"count","offset","groups"} (paginated, Link headers)
@@ -15,8 +14,9 @@ package api
 //	POST   /v1/epoch               -> run an epoch now, return its report
 //	GET    /v1/healthz             -> liveness + group/shard/fault summary
 //
-// Without a backend the group endpoints answer 503; /v1/healthz always
-// answers 200 so a stateless deployment stays load-balancer-ready.
+// Mutations and plan fetches run under the request context, so a
+// disconnected client frees its admission slot instead of pinning the
+// handler for the full queue+batch latency.
 
 import (
 	"context"
@@ -31,92 +31,6 @@ import (
 	"brsmn/internal/groupd"
 	"brsmn/internal/shard"
 )
-
-// Groups is the group-serving backend contract: the intersection of
-// *groupd.Manager (one fabric) and *shard.Set (K fabrics behind batched
-// admission) the HTTP layer needs. Both satisfy it.
-type Groups interface {
-	N() int
-	Create(id string, source int, members []int) (groupd.GroupInfo, error)
-	Join(id string, d int) (groupd.Update, error)
-	Leave(id string, d int) (groupd.Update, error)
-	Delete(id string) error
-	Get(id string) (groupd.GroupInfo, error)
-	List() []groupd.GroupInfo
-	Count() int
-	Plan(id string) (groupd.PlanInfo, error)
-	Epoch() int64
-	Pending() int64
-	CacheStats() groupd.CacheStats
-	RunEpoch() (*groupd.EpochReport, error)
-	LastEpoch() *groupd.EpochReport
-}
-
-var (
-	_ Groups = (*groupd.Manager)(nil)
-	_ Groups = (*shard.Set)(nil)
-)
-
-// ctxGroups is the cancellation-aware facet of a Groups backend
-// (implemented by *shard.Set): mutations and plans honor the request
-// context, so a disconnected client frees its admission slot instead of
-// pinning the handler for the full queue+batch latency. Backends
-// without it (the single-fabric manager, which admits inline) fall back
-// to the plain calls.
-type ctxGroups interface {
-	CreateContext(ctx context.Context, id string, source int, members []int) (groupd.GroupInfo, error)
-	JoinContext(ctx context.Context, id string, d int) (groupd.Update, error)
-	LeaveContext(ctx context.Context, id string, d int) (groupd.Update, error)
-	DeleteContext(ctx context.Context, id string) error
-	PlanContext(ctx context.Context, id string) (groupd.PlanInfo, error)
-}
-
-var _ ctxGroups = (*shard.Set)(nil)
-
-func (s *Server) doCreate(r *http.Request, id string, source int, members []int) (groupd.GroupInfo, error) {
-	if cg, ok := s.groups.(ctxGroups); ok {
-		return cg.CreateContext(r.Context(), id, source, members)
-	}
-	return s.groups.Create(id, source, members)
-}
-
-func (s *Server) doJoin(r *http.Request, id string, d int) (groupd.Update, error) {
-	if cg, ok := s.groups.(ctxGroups); ok {
-		return cg.JoinContext(r.Context(), id, d)
-	}
-	return s.groups.Join(id, d)
-}
-
-func (s *Server) doLeave(r *http.Request, id string, d int) (groupd.Update, error) {
-	if cg, ok := s.groups.(ctxGroups); ok {
-		return cg.LeaveContext(r.Context(), id, d)
-	}
-	return s.groups.Leave(id, d)
-}
-
-func (s *Server) doDelete(r *http.Request, id string) error {
-	if cg, ok := s.groups.(ctxGroups); ok {
-		return cg.DeleteContext(r.Context(), id)
-	}
-	return s.groups.Delete(id)
-}
-
-func (s *Server) doPlan(r *http.Request, id string) (groupd.PlanInfo, error) {
-	if cg, ok := s.groups.(ctxGroups); ok {
-		return cg.PlanContext(r.Context(), id)
-	}
-	return s.groups.Plan(id)
-}
-
-func (s *Server) withGroups(h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.groups == nil {
-			writeError(w, http.StatusServiceUnavailable, CodeUnavailable, "api: group backend not enabled")
-			return
-		}
-		h(w, r)
-	}
-}
 
 // groupErrStatus maps backend sentinel errors onto statuses: groupd's
 // registry errors plus shard's admission, placement, and ticket errors.
@@ -179,7 +93,7 @@ func (s *Server) handleGroupCreate(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	info, err := s.doCreate(r, req.ID, req.Source, req.Members)
+	info, err := s.set.Create(r.Context(), req.ID, req.Source, req.Members)
 	if err != nil {
 		groupErr(w, err)
 		return
@@ -206,7 +120,7 @@ func (s *Server) handleGroupList(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "invalid request", fields...)
 		return
 	}
-	list := s.groups.List()
+	list := s.set.List()
 	total := len(list)
 	if offset > total {
 		offset = total
@@ -233,7 +147,7 @@ func (s *Server) handleGroupList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGroupGet(w http.ResponseWriter, r *http.Request) {
-	info, err := s.groups.Get(r.PathValue("id"))
+	info, err := s.set.Get(r.PathValue("id"))
 	if err != nil {
 		groupErr(w, err)
 		return
@@ -254,15 +168,15 @@ func (r *MembershipRequest) validate() (fields []FieldError) {
 }
 
 func (s *Server) handleGroupJoin(w http.ResponseWriter, r *http.Request) {
-	s.handleMembership(w, r, s.doJoin, (*shard.Set).SubmitJoin)
+	s.handleMembership(w, r, (*shard.Set).Join, (*shard.Set).SubmitJoin)
 }
 
 func (s *Server) handleGroupLeave(w http.ResponseWriter, r *http.Request) {
-	s.handleMembership(w, r, s.doLeave, (*shard.Set).SubmitLeave)
+	s.handleMembership(w, r, (*shard.Set).Leave, (*shard.Set).SubmitLeave)
 }
 
 func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request,
-	op func(*http.Request, string, int) (groupd.Update, error),
+	op func(*shard.Set, context.Context, string, int) (groupd.Update, error),
 	submit func(*shard.Set, string, int) (*shard.Ticket, error)) {
 	var req MembershipRequest
 	if !decode(w, r, &req) {
@@ -275,7 +189,7 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request,
 		})
 		return
 	}
-	u, err := op(r, id, req.Dest)
+	u, err := op(s.set, r.Context(), id, req.Dest)
 	if err != nil {
 		groupErr(w, err)
 		return
@@ -291,7 +205,7 @@ func (s *Server) handleGroupDelete(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if err := s.doDelete(r, id); err != nil {
+	if err := s.set.Delete(r.Context(), id); err != nil {
 		groupErr(w, err)
 		return
 	}
@@ -321,7 +235,7 @@ func (s *Server) handleGroupPlan(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	p, err := s.doPlan(r, id)
+	p, err := s.set.Plan(r.Context(), id)
 	if err != nil {
 		groupErr(w, err)
 		return
@@ -332,7 +246,7 @@ func (s *Server) handleGroupPlan(w http.ResponseWriter, r *http.Request) {
 // planResponse renders a PlanInfo as the wire shape. Every group is
 // planned on the full BRSMN in one pass.
 func (s *Server) planResponse(p groupd.PlanInfo) GroupPlanResponse {
-	row := cost.BRSMN(s.groups.N())
+	row := cost.BRSMN(s.set.N())
 	return GroupPlanResponse{
 		ID:      p.ID,
 		Gen:     p.Gen,
@@ -363,7 +277,7 @@ type BackendsResponse struct {
 }
 
 func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
-	n := s.groups.N()
+	n := s.set.N()
 	bs, err := backend.All(n, s.eng)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
@@ -378,7 +292,7 @@ func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleEpochGet(w http.ResponseWriter, r *http.Request) {
-	rep := s.groups.LastEpoch()
+	rep := s.set.LastEpoch()
 	if rep == nil {
 		rep = &groupd.EpochReport{}
 	}
@@ -386,7 +300,7 @@ func (s *Server) handleEpochGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleEpochRun(w http.ResponseWriter, r *http.Request) {
-	rep, err := s.groups.RunEpoch()
+	rep, err := s.set.RunEpoch()
 	if err != nil {
 		groupErr(w, err)
 		return
@@ -400,28 +314,25 @@ type HealthResponse struct {
 	Groups  int    `json:"groups"`
 	Epoch   int64  `json:"epoch"`
 	Pending int64  `json:"pending"`
-	// Faults carries the fault-management counters when the monitor is
-	// enabled (the default monitor when serving sharded).
+	// Faults carries shard 0's fault-management counters when the
+	// server has fault monitors.
 	Faults *faultd.Stats `json:"faults,omitempty"`
-	// Shards carries the serving layer's aggregated snapshot when the
-	// server fronts a shard.Set.
+	// Shards carries the serving layer's aggregated snapshot.
 	Shards *shard.SetStats `json:"shards,omitempty"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := HealthResponse{Status: "ok"}
-	if s.groups != nil {
-		resp.Groups = s.groups.Count()
-		resp.Epoch = s.groups.Epoch()
-		resp.Pending = s.groups.Pending()
+	shards := s.set.Stats()
+	resp := HealthResponse{
+		Status:  "ok",
+		Groups:  s.set.Count(),
+		Epoch:   s.set.Epoch(),
+		Pending: s.set.Pending(),
+		Shards:  &shards,
 	}
 	if fm := s.defaultMonitor(); fm != nil {
 		st := fm.Stats()
 		resp.Faults = &st
-	}
-	if s.set != nil {
-		st := s.set.Stats()
-		resp.Shards = &st
 	}
 	writeData(w, http.StatusOK, resp)
 }

@@ -3,31 +3,15 @@ package api
 import (
 	"bytes"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"brsmn/internal/groupd"
-	"brsmn/internal/rbn"
 )
-
-// newGroupServer spins up a server with a 16-port group manager in
-// manual-epoch mode.
-func newGroupServer(t *testing.T) *httptest.Server {
-	t.Helper()
-	gm, err := groupd.NewManager(groupd.Config{N: 16, Engine: rbn.Sequential})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { gm.Close() })
-	ts := httptest.NewServer(NewServer(rbn.Sequential, gm, nil))
-	t.Cleanup(ts.Close)
-	return ts
-}
 
 // TestGroupLifecycleHTTP walks a group through create / join / leave /
 // epoch / plan / delete over the wire.
 func TestGroupLifecycleHTTP(t *testing.T) {
-	ts := newGroupServer(t)
+	ts := newTestServer(t)
 
 	var info groupd.GroupInfo
 	code := doJSON(t, "POST", ts.URL+"/v1/groups",
@@ -110,7 +94,7 @@ func TestGroupLifecycleHTTP(t *testing.T) {
 }
 
 func TestGroupCreateValidationHTTP(t *testing.T) {
-	ts := newGroupServer(t)
+	ts := newTestServer(t)
 	// Structurally valid but out of range for the fabric: the manager
 	// rejects it, 422.
 	if code := doJSON(t, "POST", ts.URL+"/v1/groups", CreateGroupRequest{Source: 99}, nil); code != http.StatusUnprocessableEntity {
@@ -133,7 +117,7 @@ func TestGroupCreateValidationHTTP(t *testing.T) {
 // TestGroupListPagination pins the Link-header pagination contract on
 // GET /v1/groups.
 func TestGroupListPagination(t *testing.T) {
-	ts := newGroupServer(t)
+	ts := newTestServer(t)
 	ids := []string{"a", "b", "c", "d", "e"}
 	for i, id := range ids {
 		if code := doJSON(t, "POST", ts.URL+"/v1/groups",
@@ -214,7 +198,7 @@ func containsAll(s string, subs ...string) bool {
 }
 
 func TestHealthz(t *testing.T) {
-	ts := newGroupServer(t)
+	ts := newTestServer(t)
 	var h HealthResponse
 	if code := doJSON(t, "GET", ts.URL+"/healthz", nil, &h); code != http.StatusOK {
 		t.Fatalf("healthz = %d", code)
@@ -227,28 +211,5 @@ func TestHealthz(t *testing.T) {
 	}
 	if doJSON(t, "GET", ts.URL+"/v1/healthz", nil, &h); h.Groups != 1 || h.Pending == 0 {
 		t.Fatalf("healthz after create = %+v", h)
-	}
-}
-
-// TestGroupEndpointsWithoutManager pins the stateless deployment: group
-// endpoints 503, healthz still live.
-func TestGroupEndpointsWithoutManager(t *testing.T) {
-	ts := newTestServer(t)
-	var h HealthResponse
-	if code := doJSON(t, "GET", ts.URL+"/healthz", nil, &h); code != http.StatusOK || h.Status != "ok" {
-		t.Fatalf("healthz = %d / %+v", code, h)
-	}
-	for _, probe := range []struct{ method, path string }{
-		{"POST", "/v1/groups"},
-		{"GET", "/v1/groups"},
-		{"GET", "/v1/groups/x"},
-		{"POST", "/v1/groups/x/join"},
-		{"DELETE", "/v1/groups/x"},
-		{"GET", "/v1/epoch"},
-		{"POST", "/v1/epoch"},
-	} {
-		if code := doJSON(t, probe.method, ts.URL+probe.path, nil, nil); code != http.StatusServiceUnavailable {
-			t.Errorf("%s %s = %d, want 503", probe.method, probe.path, code)
-		}
 	}
 }

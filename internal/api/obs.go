@@ -6,9 +6,9 @@ package api
 //	GET /v1/metrics         -> Prometheus text exposition of the registry
 //	GET /v1/trace/{group}   -> the last recorded planning trace as JSON
 //
-// /metrics is also served unversioned (scrapers don't follow
-// redirects); its exposition-format body is the one non-envelope
-// response besides redirects.
+// /metrics is also served unversioned for scrapers; its
+// exposition-format body and the ticket event stream are the only
+// non-envelope responses.
 //
 // Every handler is additionally wrapped to count requests by handler
 // and status code (brsmn_http_requests_total) and observe latency

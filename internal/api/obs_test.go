@@ -10,20 +10,20 @@ import (
 	"brsmn/internal/groupd"
 	"brsmn/internal/obs"
 	"brsmn/internal/rbn"
+	"brsmn/internal/shard"
 )
 
 // newObsServer spins up a fully instrumented server: registry, tracer
-// sampling every replan, and a 16-port group manager sharing both.
+// sampling every replan, and a one-shard Set sharing both.
 func newObsServer(t *testing.T) (*httptest.Server, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	tracer := obs.NewTraceRecorder(1)
-	gm, err := groupd.NewManager(groupd.Config{N: 16, Engine: rbn.Sequential, Metrics: reg, Tracer: tracer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { gm.Close() })
-	ts := httptest.NewServer(NewServer(rbn.Sequential, gm, nil, WithMetrics(reg), WithTracer(tracer)))
+	set := newTestSet(t, func(c *shard.Config) {
+		c.Metrics = reg
+		c.Group.Tracer = tracer
+	})
+	ts := httptest.NewServer(NewServer(rbn.Sequential, set, nil, WithMetrics(reg), WithTracer(tracer)))
 	t.Cleanup(ts.Close)
 	return ts, reg
 }
@@ -61,11 +61,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		text := string(raw)
 		for _, series := range []string{
 			"# TYPE brsmn_epoch_duration_seconds histogram",
-			"brsmn_plan_cache_ops_total{op=\"miss\"}",
-			"brsmn_planner_pool_ops_total{op=\"get\"}",
+			"brsmn_plan_cache_ops_total{op=\"miss\",shard=\"0\"}",
+			"brsmn_planner_pool_ops_total{op=\"get\",shard=\"0\"}",
 			"brsmn_http_requests_total{handler=\"group_create\",code=\"201\"} 1",
 			"brsmn_http_request_seconds",
-			"brsmn_groups 1",
+			"brsmn_groups{shard=\"0\"} 1",
 		} {
 			if !strings.Contains(text, series) {
 				t.Errorf("%s missing %q", path, series)
@@ -75,8 +75,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestMetricsDisabled(t *testing.T) {
-	ts := httptest.NewServer(NewServer(rbn.Sequential, nil, nil))
-	defer ts.Close()
+	ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -119,8 +118,7 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 
 	// Without a tracer the endpoint is disabled, not missing.
-	bare := httptest.NewServer(NewServer(rbn.Sequential, nil, nil))
-	defer bare.Close()
+	bare := newTestServer(t)
 	resp, err = http.Get(bare.URL + "/v1/trace/conf")
 	if err != nil {
 		t.Fatal(err)
@@ -190,13 +188,16 @@ func TestMethodNotAllowedJSON(t *testing.T) {
 
 func TestNotFoundJSON(t *testing.T) {
 	ts, _ := newObsServer(t)
-	for _, path := range []string{"/no/such/endpoint", "/v1/no/such/endpoint", "/v2/route"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, tc := range []struct{ method, path string }{
+		{"GET", "/no/such/endpoint"},
+		{"GET", "/v1/no/such/endpoint"},
+		{"GET", "/v2/route"},
+		{"GET", "/groups"},
+		{"POST", "/route"},
+	} {
+		resp := mustDo(t, tc.method, ts.URL+tc.path, "")
 		if e := checkJSONError(t, resp, http.StatusNotFound); e.Code != CodeNotFound {
-			t.Errorf("%s: code %q, want %q", path, e.Code, CodeNotFound)
+			t.Errorf("%s %s: code %q, want %q", tc.method, tc.path, e.Code, CodeNotFound)
 		}
 	}
 }

@@ -1,44 +1,21 @@
 package api
 
-// Shard introspection and rebalance endpoints, active when the server
-// fronts a shard.Set (WithShards):
+// Shard introspection and rebalance endpoints over the server's
+// shard.Set:
 //
 //	GET  /v1/shards                    -> the Set's aggregated + per-shard stats
 //	POST /v1/shards/{id}/quarantine    -> pull a shard off the ring, migrate its groups
 //	POST /v1/shards/{id}/reinstate     -> return it and migrate its groups back
 //
-// Without a Set these endpoints answer 503 like the other gated
-// surfaces. Quarantining the last live shard is refused with 409.
+// Quarantining the last live shard is refused with 409.
 
 import (
 	"errors"
 	"net/http"
 	"strconv"
 
-	"brsmn/internal/faultd"
 	"brsmn/internal/shard"
 )
-
-// WithShards wires the sharded serving layer: set fronts the group
-// endpoints' backend (pass it as NewServer's Groups too), and monitors
-// — one per shard, may be nil — back the ?shard=k selector of the
-// fault endpoints.
-func WithShards(set *shard.Set, monitors []*faultd.Monitor) Option {
-	return func(s *Server) {
-		s.set = set
-		s.monitors = monitors
-	}
-}
-
-func (s *Server) withShards(h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.set == nil {
-			writeError(w, http.StatusServiceUnavailable, CodeUnavailable, "api: sharded serving not enabled")
-			return
-		}
-		h(w, r)
-	}
-}
 
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	writeData(w, http.StatusOK, s.set.Stats())

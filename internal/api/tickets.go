@@ -13,10 +13,6 @@ package api
 // 202 carries the owning shard's queue depth and shed count, so clients
 // see backpressure at submit time; completed tickets carry the
 // stage-timing record of shard.TicketStamps plus derived durations.
-//
-// Tickets require the sharded serving layer (the single-fabric manager
-// admits inline, so there is nothing to ticket) — without it the
-// endpoints answer 503.
 
 import (
 	"context"
@@ -37,17 +33,6 @@ const maxTicketWait = 30 * time.Second
 func asyncRequested(r *http.Request) bool {
 	v := r.URL.Query().Get("async")
 	return v == "1" || v == "true"
-}
-
-func (s *Server) withTickets(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.set == nil {
-			writeError(w, http.StatusServiceUnavailable, CodeUnavailable,
-				"api: async admission requires the sharded serving layer")
-			return
-		}
-		h(w, r)
-	}
 }
 
 // TicketStages is a ticket's stage-timing record on the wire: the raw
@@ -127,11 +112,6 @@ func (s *Server) ticketView(tk *shard.Ticket) TicketView {
 // mapped submission error). Shared by POST /v1/tickets and the group
 // endpoints' ?async=1 branch.
 func (s *Server) submitAsync(w http.ResponseWriter, submit func(*shard.Set) (*shard.Ticket, error)) {
-	if s.set == nil {
-		writeError(w, http.StatusServiceUnavailable, CodeUnavailable,
-			"api: async admission requires the sharded serving layer")
-		return
-	}
 	tk, err := submit(s.set)
 	if err != nil {
 		groupErr(w, err)

@@ -1,8 +1,8 @@
 package api
 
 // Tests for the async admission surface: POST /v1/tickets, the
-// ?async=1 sugar on the group endpoints, long-poll pickup, the SSE
-// stream, and the 503 gate when the sharded layer is absent.
+// ?async=1 sugar on the group endpoints, long-poll pickup, and the SSE
+// stream.
 
 import (
 	"io"
@@ -148,24 +148,6 @@ func TestTicketSSE(t *testing.T) {
 	}
 	if !strings.Contains(body, `"state":"done"`) {
 		t.Fatalf("done event missing finished view:\n%s", body)
-	}
-}
-
-// TestTicketsUnsharded checks the 503 gate on every async surface when
-// the server fronts the single-fabric manager.
-func TestTicketsUnsharded(t *testing.T) {
-	ts := newGroupServer(t)
-	for _, probe := range []struct{ method, path, body string }{
-		{"POST", "/v1/tickets", `{"op":"plan","group":"g"}`},
-		{"GET", "/v1/tickets", ""},
-		{"GET", "/v1/tickets/t1", ""},
-		{"GET", "/v1/tickets/t1/events", ""},
-		{"POST", "/v1/groups?async=1", `{"id":"g","source":0,"members":[1]}`},
-	} {
-		e := checkJSONError(t, mustDo(t, probe.method, ts.URL+probe.path, probe.body), http.StatusServiceUnavailable)
-		if e.Code != CodeUnavailable {
-			t.Errorf("%s %s: code %q, want %q", probe.method, probe.path, e.Code, CodeUnavailable)
-		}
 	}
 }
 

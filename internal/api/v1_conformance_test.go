@@ -18,7 +18,7 @@ import (
 // JSON reply — success or failure, any handler family — carries both
 // the "data" and "error" keys, and exactly one of them is null.
 func TestEnvelopeBothKeysAlways(t *testing.T) {
-	ts := newGroupServer(t)
+	ts := newTestServer(t)
 
 	type probe struct {
 		method, path string
@@ -26,17 +26,17 @@ func TestEnvelopeBothKeysAlways(t *testing.T) {
 	}
 	probes := []probe{
 		{"POST", "/v1/route", `{"n":8,"dests":[[1],null,null,null,null,null,null,null]}`}, // 200
-		{"POST", "/v1/route", `{"n":7}`},                     // 400
-		{"POST", "/v1/route", `{"n":4,"dests":[[0],[0]]}`},   // 422
-		{"GET", "/v1/cost?n=64", ""},                         // 200
-		{"GET", "/v1/cost?n=63", ""},                         // 400
+		{"POST", "/v1/route", `{"n":7}`},                              // 400
+		{"POST", "/v1/route", `{"n":4,"dests":[[0],[0]]}`},            // 422
+		{"GET", "/v1/cost?n=64", ""},                                  // 200
+		{"GET", "/v1/cost?n=63", ""},                                  // 400
 		{"POST", "/v1/groups", `{"id":"e","source":0,"members":[1]}`}, // 201
 		{"POST", "/v1/groups", `{"id":"e","source":0,"members":[1]}`}, // 409
-		{"GET", "/v1/groups/nope", ""},                       // 404
-		{"GET", "/v1/healthz", ""},                           // 200
-		{"GET", "/v1/shards", ""},                            // 503 (unsharded)
-		{"PUT", "/v1/route", ""},                             // 405
-		{"GET", "/v1/definitely/not/there", ""},              // 404 catch-all
+		{"GET", "/v1/groups/nope", ""},                                // 404
+		{"GET", "/v1/healthz", ""},                                    // 200
+		{"GET", "/v1/shards", ""},                                     // 200
+		{"PUT", "/v1/route", ""},                                      // 405
+		{"GET", "/v1/definitely/not/there", ""},                       // 404 catch-all
 	}
 	for _, p := range probes {
 		var body io.Reader
@@ -142,16 +142,11 @@ func newShardServer(t *testing.T, shards int) (*httptest.Server, *shard.Set) {
 		}
 		monitors[i] = fm
 	}
-	set, err := shard.New(shard.Config{
-		Shards:    shards,
-		Group:     groupd.Config{N: 16, Engine: rbn.Sequential},
-		NewPolicy: func(i int) groupd.FaultPolicy { return monitors[i] },
+	set := newTestSet(t, func(c *shard.Config) {
+		c.Shards = shards
+		c.NewPolicy = func(i int) groupd.FaultPolicy { return monitors[i] }
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { set.Close() })
-	ts := httptest.NewServer(NewServer(rbn.Sequential, set, nil, WithShards(set, monitors)))
+	ts := httptest.NewServer(NewServer(rbn.Sequential, set, monitors))
 	t.Cleanup(ts.Close)
 	return ts, set
 }
@@ -240,20 +235,5 @@ func TestShardedServer(t *testing.T) {
 	}
 	if rep.Groups != 6 {
 		t.Fatalf("sharded epoch report = %+v", rep)
-	}
-}
-
-// TestShardEndpointsDisabledUnsharded pins the unsharded deployment:
-// shard endpoints answer 503, not 404.
-func TestShardEndpointsDisabledUnsharded(t *testing.T) {
-	ts := newGroupServer(t)
-	for _, ep := range []struct{ method, path string }{
-		{"GET", "/v1/shards"},
-		{"POST", "/v1/shards/0/quarantine"},
-		{"POST", "/v1/shards/0/reinstate"},
-	} {
-		if code := doJSON(t, ep.method, ts.URL+ep.path, nil, nil); code != http.StatusServiceUnavailable {
-			t.Errorf("%s %s = %d, want 503", ep.method, ep.path, code)
-		}
 	}
 }

@@ -42,10 +42,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"brsmn/internal/groupd"
 	"brsmn/internal/obs"
 	"brsmn/internal/shard"
-	"brsmn/internal/store"
 )
 
 // Sentinel errors.
@@ -57,21 +55,6 @@ var (
 	ErrClosed = errors.New("cluster: node closed")
 )
 
-// Backend is the slice of the local serving layer (*shard.Set) the
-// cluster tier drives: group introspection for status, and the
-// export/install/gen-guarded-delete triple migrations are built from.
-type Backend interface {
-	Count() int
-	Epoch() int64
-	Get(id string) (groupd.GroupInfo, error)
-	Export() ([]store.GroupState, []*store.PlanState)
-	ExportGroup(id string) (store.GroupState, *store.PlanState, error)
-	Install(g store.GroupState, plan *store.PlanState) error
-	DeleteIfGen(id string, gen uint64) error
-}
-
-var _ Backend = (*shard.Set)(nil)
-
 // Config parameterizes a Node.
 type Config struct {
 	// Self is this node's ID; it must appear in Peers.
@@ -79,8 +62,10 @@ type Config struct {
 	// Peers maps node ID -> base URL ("http://host:port") for every
 	// cluster member, this node included. All nodes must agree on it.
 	Peers map[string]string
-	// Local is the node's serving layer (the *shard.Set).
-	Local Backend
+	// Local is the node's serving layer: group introspection for status,
+	// and the export/install/gen-guarded-delete triple migrations are
+	// built from.
+	Local *shard.Set
 	// Handler is the local API handler requests are served by when this
 	// node owns them (or the hop guard forces local service).
 	Handler http.Handler

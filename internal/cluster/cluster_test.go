@@ -64,7 +64,6 @@ func testCluster(t *testing.T, n int, mutate func(id string, cfg *Config)) map[s
 		}
 		tn := &testNode{id: id, set: set, reg: reg, url: peers[id]}
 		apiSrv := api.NewServer(rbn.Sequential, set, nil,
-			api.WithShards(set, nil),
 			api.WithMetrics(reg),
 			api.WithReadiness(func() error {
 				if tn.node == nil {
@@ -167,7 +166,7 @@ func TestClusterDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer soloSet.Close()
-	solo := httptest.NewServer(api.NewServer(rbn.Sequential, soloSet, nil, api.WithShards(soloSet, nil)))
+	solo := httptest.NewServer(api.NewServer(rbn.Sequential, soloSet, nil))
 	defer solo.Close()
 
 	urls := []string{nodes["a"].url, nodes["b"].url, nodes["c"].url}

@@ -166,7 +166,7 @@ func TestForwardRetrySemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer set.Close()
-	apiSrv := api.NewServer(rbn.Sequential, set, nil, api.WithShards(set, nil))
+	apiSrv := api.NewServer(rbn.Sequential, set, nil)
 	aTS := httptest.NewUnstartedServer(http.NotFoundHandler())
 	const retries = 2
 	node, err := New(Config{

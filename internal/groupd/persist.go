@@ -113,16 +113,6 @@ func (m *Manager) SnapshotNow() (store.SnapshotInfo, error) {
 	return m.snapshotToStore()
 }
 
-// SnapshotAll is the one-stream form of the sharded serving layer's
-// SnapshotAll, so either backend serves the snapshot admin surface.
-func (m *Manager) SnapshotAll() ([]store.SnapshotInfo, error) {
-	info, err := m.SnapshotNow()
-	if err != nil {
-		return nil, err
-	}
-	return []store.SnapshotInfo{info}, nil
-}
-
 func (m *Manager) snapshotToStore() (store.SnapshotInfo, error) {
 	m.snapMu.Lock()
 	defer m.snapMu.Unlock()

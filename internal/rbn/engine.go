@@ -114,31 +114,3 @@ func parFor[A any](e Engine, n int, args A, fn func(a A, lo, hi int)) {
 	wg.Wait()
 	e.Occ.add(int64(-w))
 }
-
-// parallelFor runs fn over [0, n) split into contiguous chunks across the
-// engine's workers. With one worker (or a small n) it degenerates to a
-// plain loop.
-func (e Engine) parallelFor(n int, fn func(lo, hi int)) {
-	w := e.Workers
-	if w <= 1 || n <= minGrain {
-		fn(0, n)
-		return
-	}
-	chunks := (n + minGrain - 1) / minGrain
-	if chunks < w {
-		w = chunks
-	}
-	e.Occ.add(int64(w))
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		lo := k * n / w
-		hi := (k + 1) * n / w
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	e.Occ.add(int64(-w))
-}

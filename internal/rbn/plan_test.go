@@ -133,7 +133,7 @@ func TestEngineChunking(t *testing.T) {
 		e := Engine{Workers: workers}
 		nItems := 10000
 		hits := make([]int32, nItems)
-		e.parallelFor(nItems, func(lo, hi int) {
+		parFor(e, nItems, hits, func(hits []int32, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				hits[i]++
 			}
@@ -147,9 +147,9 @@ func TestEngineChunking(t *testing.T) {
 	// Tiny n falls back to a plain loop.
 	e := ParallelEngine()
 	sum := 0
-	e.parallelFor(3, func(lo, hi int) { sum += hi - lo })
+	parFor(e, 3, &sum, func(sum *int, lo, hi int) { *sum += hi - lo })
 	if sum != 3 {
-		t.Fatalf("tiny parallelFor covered %d items", sum)
+		t.Fatalf("tiny parFor covered %d items", sum)
 	}
 }
 

@@ -97,10 +97,10 @@ func TestSubmitLifecycle(t *testing.T) {
 // carries is byte-identical to what the synchronous path returns.
 func TestAsyncMatchesSyncPlan(t *testing.T) {
 	s := newTestSet(t, Config{Shards: 2})
-	if _, err := s.Create("par", 0, []int{1, 5, 9}); err != nil {
+	if _, err := s.Create(context.Background(), "par", 0, []int{1, 5, 9}); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := s.Plan("par")
+	sp, err := s.Plan(context.Background(), "par")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,10 +225,10 @@ func TestAsyncSoak(t *testing.T) {
 	ids := make([]string, seedCount)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("soak-g%02d", i)
-		if _, err := s.Create(ids[i], 0, []int{1 + i%4}); err != nil {
+		if _, err := s.Create(context.Background(), ids[i], 0, []int{1 + i%4}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Plan(ids[i]); err != nil {
+		if _, err := s.Plan(context.Background(), ids[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,7 +272,7 @@ func TestAsyncSoak(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < nCancel; i += submitters {
 				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-				_, err := s.JoinContext(ctx, ids[i%seedCount], 2+i%62)
+				_, err := s.Join(ctx, ids[i%seedCount], 2+i%62)
 				cancel()
 				switch {
 				case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
@@ -343,7 +343,7 @@ func TestAsyncSoak(t *testing.T) {
 
 	// Every group is still coherent after the churn: plans compute.
 	for _, id := range ids {
-		if _, err := s.Plan(id); err != nil {
+		if _, err := s.Plan(context.Background(), id); err != nil {
 			t.Fatalf("plan %q after soak: %v", id, err)
 		}
 	}

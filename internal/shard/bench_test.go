@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -34,7 +35,7 @@ func benchSet(tb testing.TB, shards, n, groups int) (*Set, []string) {
 	ids := make([]string, 0, groups)
 	for g := 0; g < groups; g++ {
 		id := fmt.Sprintf("bench-%d", g)
-		if _, err := s.Create(id, 0, members); err != nil {
+		if _, err := s.Create(context.Background(), id, 0, members); err != nil {
 			tb.Fatal(err)
 		}
 		ids = append(ids, id)
@@ -50,7 +51,7 @@ func BenchmarkAdmitPlanWarm(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
 			s, ids := benchSet(b, k, 1024, 16)
 			for _, id := range ids {
-				if _, err := s.Plan(id); err != nil {
+				if _, err := s.Plan(context.Background(), id); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -59,7 +60,7 @@ func BenchmarkAdmitPlanWarm(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				i := 0
 				for pb.Next() {
-					if _, err := s.Plan(ids[i%len(ids)]); err != nil {
+					if _, err := s.Plan(context.Background(), ids[i%len(ids)]); err != nil {
 						b.Fatal(err)
 					}
 					i++
@@ -83,15 +84,15 @@ func coldRoutesPerSec(tb testing.TB, s *Set, ids []string, drivers, plansPerDriv
 			defer wg.Done()
 			for i := 0; i < plansPerDriver; i++ {
 				id := ids[(w+i*drivers)%len(ids)]
-				if _, err := s.Join(id, 0); err != nil {
+				if _, err := s.Join(context.Background(), id, 0); err != nil {
 					tb.Error(err)
 					return
 				}
-				if _, err := s.Leave(id, 0); err != nil {
+				if _, err := s.Leave(context.Background(), id, 0); err != nil {
 					tb.Error(err)
 					return
 				}
-				p, err := s.Plan(id)
+				p, err := s.Plan(context.Background(), id)
 				if err != nil {
 					tb.Error(err)
 					return
@@ -130,7 +131,7 @@ func TestShardScalingThroughput(t *testing.T) {
 	s1, ids := benchSet(t, 1, n, 16)
 	warm := func(s *Set) {
 		for _, id := range ids {
-			if _, err := s.Plan(id); err != nil {
+			if _, err := s.Plan(context.Background(), id); err != nil {
 				t.Fatal(err)
 			}
 		}

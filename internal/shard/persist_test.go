@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"reflect"
@@ -50,13 +51,13 @@ func TestSetRestartRecovery(t *testing.T) {
 	ms := newMemStores()
 	s1 := newDurableSet(t, Config{Shards: 4, NewStore: ms.factory})
 	ids := seedGroups(t, s1, 16)
-	if _, err := s1.Join(ids[3], 15); err != nil {
+	if _, err := s1.Join(context.Background(), ids[3], 15); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Delete(ids[5]); err != nil {
+	if err := s1.Delete(context.Background(), ids[5]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Create("", 2, []int{4}); err != nil { // auto-ID g1
+	if _, err := s1.Create(context.Background(), "", 2, []int{4}); err != nil { // auto-ID g1
 		t.Fatal(err)
 	}
 	want := s1.List()
@@ -73,7 +74,7 @@ func TestSetRestartRecovery(t *testing.T) {
 		}
 	}
 	// Auto-IDs continue past recovered ones.
-	created, err := s2.Create("", 0, nil)
+	created, err := s2.Create(context.Background(), "", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestSetReshardRecovery(t *testing.T) {
 		}
 	}
 	for _, id := range ids {
-		if _, err := s2.Plan(id); err != nil {
+		if _, err := s2.Plan(context.Background(), id); err != nil {
 			t.Fatalf("plan %q after reshard: %v", id, err)
 		}
 	}
@@ -131,7 +132,7 @@ func TestSetGracefulRestartOnDisk(t *testing.T) {
 	s1 := newDurableSet(t, Config{Shards: 3, NewStore: factory})
 	ids := seedGroups(t, s1, 9)
 	for _, id := range ids {
-		if _, err := s1.Plan(id); err != nil {
+		if _, err := s1.Plan(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,7 +155,7 @@ func TestSetGracefulRestartOnDisk(t *testing.T) {
 		}
 	}
 	for _, id := range ids {
-		p, err := s2.Plan(id)
+		p, err := s2.Plan(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}

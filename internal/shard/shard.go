@@ -33,8 +33,8 @@
 //     every queue with a barrier task, so it observes a quiesced set.
 //
 // Admission comes in two shapes: the synchronous methods (Create, Join,
-// ..., and their ...Context variants, which honor cancellation) block
-// until the batch executes, while the Submit* methods return a Ticket
+// ..., each taking a context that cancels the wait) block until the
+// batch executes, while the Submit* methods return a Ticket
 // immediately and publish the result — with a per-stage Unix-ns timing
 // record — when the worker gets to it. See ticket.go.
 //
@@ -495,16 +495,11 @@ func (s *Set) Close() error {
 // --- group surface (mirrors groupd.Manager) ---
 
 // Create registers a group on its placement shard. An empty ID is
-// auto-assigned before placement, since placement hashes the ID.
-func (s *Set) Create(id string, source int, members []int) (groupd.GroupInfo, error) {
-	return s.CreateContext(context.Background(), id, source, members)
-}
-
-// CreateContext is Create honoring cancellation: if ctx ends before the
-// operation is delivered, the slot is freed (or the executed result is
-// discarded) and ctx.Err() returned. Same for the other ...Context
-// variants.
-func (s *Set) CreateContext(ctx context.Context, id string, source int, members []int) (groupd.GroupInfo, error) {
+// auto-assigned before placement, since placement hashes the ID. If ctx
+// ends before the operation is delivered, the slot is freed (or the
+// executed result is discarded) and ctx.Err() returned; Join, Leave,
+// Delete and Plan honor ctx the same way.
+func (s *Set) Create(ctx context.Context, id string, source int, members []int) (groupd.GroupInfo, error) {
 	if id == "" {
 		id = fmt.Sprintf("g%d", s.nextID.Add(1))
 	}
@@ -517,12 +512,7 @@ func (s *Set) CreateContext(ctx context.Context, id string, source int, members 
 }
 
 // Join admits output d to the group on its owning shard.
-func (s *Set) Join(id string, d int) (groupd.Update, error) {
-	return s.JoinContext(context.Background(), id, d)
-}
-
-// JoinContext is Join with cancellation.
-func (s *Set) JoinContext(ctx context.Context, id string, d int) (groupd.Update, error) {
+func (s *Set) Join(ctx context.Context, id string, d int) (groupd.Update, error) {
 	t := s.getTask()
 	t.op = opJoin
 	t.id = id
@@ -531,12 +521,7 @@ func (s *Set) JoinContext(ctx context.Context, id string, d int) (groupd.Update,
 }
 
 // Leave removes output d from the group; same contract as Join.
-func (s *Set) Leave(id string, d int) (groupd.Update, error) {
-	return s.LeaveContext(context.Background(), id, d)
-}
-
-// LeaveContext is Leave with cancellation.
-func (s *Set) LeaveContext(ctx context.Context, id string, d int) (groupd.Update, error) {
+func (s *Set) Leave(ctx context.Context, id string, d int) (groupd.Update, error) {
 	t := s.getTask()
 	t.op = opLeave
 	t.id = id
@@ -545,12 +530,7 @@ func (s *Set) LeaveContext(ctx context.Context, id string, d int) (groupd.Update
 }
 
 // Delete unregisters the group from its owning shard.
-func (s *Set) Delete(id string) error {
-	return s.DeleteContext(context.Background(), id)
-}
-
-// DeleteContext is Delete with cancellation.
-func (s *Set) DeleteContext(ctx context.Context, id string) error {
+func (s *Set) Delete(ctx context.Context, id string) error {
 	t := s.getTask()
 	t.op = opDelete
 	t.id = id
@@ -561,12 +541,7 @@ func (s *Set) DeleteContext(ctx context.Context, id string) error {
 // Plan returns the group's column program from its owning shard — the
 // steady route path. Warm requests are plan-cache hits on the shard and
 // allocate nothing end to end, admission included.
-func (s *Set) Plan(id string) (groupd.PlanInfo, error) {
-	return s.PlanContext(context.Background(), id)
-}
-
-// PlanContext is Plan with cancellation.
-func (s *Set) PlanContext(ctx context.Context, id string) (groupd.PlanInfo, error) {
+func (s *Set) Plan(ctx context.Context, id string) (groupd.PlanInfo, error) {
 	t := s.getTask()
 	t.op = opPlan
 	t.id = id

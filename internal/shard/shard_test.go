@@ -39,7 +39,7 @@ func seedGroups(t *testing.T, s *Set, count int) []string {
 	ids := make([]string, 0, count)
 	for i := 0; i < count; i++ {
 		id := fmt.Sprintf("t%d", i)
-		if _, err := s.Create(id, 0, []int{1 + i%4, 8 + i%7}); err != nil {
+		if _, err := s.Create(context.Background(), id, 0, []int{1 + i%4, 8 + i%7}); err != nil {
 			t.Fatalf("create %s: %v", id, err)
 		}
 		ids = append(ids, id)
@@ -64,25 +64,25 @@ func TestLifecycleAcrossShards(t *testing.T) {
 		}
 	}
 
-	up, err := s.Join(ids[3], 15)
+	up, err := s.Join(context.Background(), ids[3], 15)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if up.Gen != 2 {
 		t.Fatalf("join gen = %d, want 2", up.Gen)
 	}
-	if _, err := s.Leave(ids[3], 15); err != nil {
+	if _, err := s.Leave(context.Background(), ids[3], 15); err != nil {
 		t.Fatal(err)
 	}
 
-	p, err := s.Plan(ids[3])
+	p, err := s.Plan(context.Background(), ids[3])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Cached || len(p.Blob) == 0 {
 		t.Fatalf("first plan = %+v, want uncached with blob", p)
 	}
-	p, err = s.Plan(ids[3])
+	p, err = s.Plan(context.Background(), ids[3])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestLifecycleAcrossShards(t *testing.T) {
 		t.Fatal("second plan missed the cache")
 	}
 
-	if err := s.Delete(ids[3]); err != nil {
+	if err := s.Delete(context.Background(), ids[3]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Get(ids[3]); !errors.Is(err, groupd.ErrNotFound) {
@@ -103,11 +103,11 @@ func TestLifecycleAcrossShards(t *testing.T) {
 
 func TestCreateAutoID(t *testing.T) {
 	s := newTestSet(t, Config{Shards: 2})
-	a, err := s.Create("", 0, []int{1})
+	a, err := s.Create(context.Background(), "", 0, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Create("", 0, []int{2})
+	b, err := s.Create(context.Background(), "", 0, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestPlacementProperty(t *testing.T) {
 
 	// Group operations still work end to end after the churn.
 	for _, info := range s.List() {
-		if _, err := s.Plan(info.ID); err != nil {
+		if _, err := s.Plan(context.Background(), info.ID); err != nil {
 			t.Fatalf("plan %q after rebalance: %v", info.ID, err)
 		}
 	}
@@ -227,10 +227,10 @@ func TestClosedSet(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	if _, err := s.Create("late", 0, []int{1}); !errors.Is(err, ErrClosed) {
+	if _, err := s.Create(context.Background(), "late", 0, []int{1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("create after close: %v", err)
 	}
-	if _, err := s.Plan("t0"); !errors.Is(err, ErrClosed) {
+	if _, err := s.Plan(context.Background(), "t0"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("plan after close: %v", err)
 	}
 	if err := s.Quarantine(0); !errors.Is(err, ErrClosed) {
@@ -279,7 +279,7 @@ func TestAdmissionSoak(t *testing.T) {
 	s := newTestSet(t, Config{Shards: 4, QueueDepth: 128, BatchMax: 16, AdmitWait: time.Second})
 	ids := seedGroups(t, s, 32)
 	for _, id := range ids { // warm every plan
-		if _, err := s.Plan(id); err != nil {
+		if _, err := s.Plan(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -301,15 +301,15 @@ func TestAdmissionSoak(t *testing.T) {
 					// (shed, closed) count against the soak.
 					var err error
 					if i%4 == 0 {
-						_, err = s.Join(id, 15)
+						_, err = s.Join(context.Background(), id, 15)
 					} else {
-						_, err = s.Leave(id, 15)
+						_, err = s.Leave(context.Background(), id, 15)
 					}
 					if errors.Is(err, ErrOverloaded) || errors.Is(err, ErrClosed) || errors.Is(err, ErrNoLiveShard) {
 						failures.Add(1)
 					}
 				default:
-					if _, err := s.Plan(id); err != nil {
+					if _, err := s.Plan(context.Background(), id); err != nil {
 						failures.Add(1)
 					}
 				}
@@ -339,11 +339,11 @@ func TestSteadyPlanAllocs(t *testing.T) {
 	s := newTestSet(t, Config{Shards: 4, Metrics: obs.NewRegistry()})
 	ids := seedGroups(t, s, 8)
 	id := ids[5]
-	if _, err := s.Plan(id); err != nil { // warm
+	if _, err := s.Plan(context.Background(), id); err != nil { // warm
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := s.Plan(id); err != nil {
+		if _, err := s.Plan(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -359,9 +359,9 @@ type fakePolicy struct {
 }
 
 func (p *fakePolicy) FilterAssignment(a mcast.Assignment) (mcast.Assignment, []int) { return a, nil }
-func (p *fakePolicy) Version() uint64                                              { return 0 }
-func (p *fakePolicy) AfterEpoch(int64)                                             {}
-func (p *fakePolicy) Healthy() bool                                                { return p.healthy.Load() }
+func (p *fakePolicy) Version() uint64                                               { return 0 }
+func (p *fakePolicy) AfterEpoch(int64)                                              {}
+func (p *fakePolicy) Healthy() bool                                                 { return p.healthy.Load() }
 
 func TestAutoQuarantineOnUnhealthyPolicy(t *testing.T) {
 	policies := make([]*fakePolicy, 2)
@@ -433,7 +433,7 @@ func TestShardMetrics(t *testing.T) {
 	s := newTestSet(t, Config{Shards: 2, Metrics: reg})
 	seedGroups(t, s, 6)
 	for i := 0; i < 6; i++ {
-		if _, err := s.Plan(fmt.Sprintf("t%d", i)); err != nil {
+		if _, err := s.Plan(context.Background(), fmt.Sprintf("t%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
