@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -142,6 +143,8 @@ func TestPercentiles(t *testing.T) {
 // classifies everything.
 func TestRunLoadEndToEnd(t *testing.T) {
 	var reqs atomic.Int64
+	// Handlers run on concurrent goroutines: created is guarded by mu.
+	var mu sync.Mutex
 	created := map[string]bool{}
 	mux := http.NewServeMux()
 	stamp := func(w http.ResponseWriter, shed bool) bool {
@@ -164,7 +167,9 @@ func TestRunLoadEndToEnd(t *testing.T) {
 			ID string `json:"id"`
 		}
 		json.NewDecoder(r.Body).Decode(&req)
+		mu.Lock()
 		created[req.ID] = true
+		mu.Unlock()
 		w.WriteHeader(http.StatusCreated)
 		json.NewEncoder(w).Encode(map[string]any{"data": map[string]any{"id": req.ID}})
 	})
@@ -175,7 +180,10 @@ func TestRunLoadEndToEnd(t *testing.T) {
 		json.NewEncoder(w).Encode(map[string]any{"data": map[string]any{}})
 	})
 	mux.HandleFunc("GET /v1/cluster", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(map[string]any{"data": map[string]any{"groups": len(created)}})
+		mu.Lock()
+		groups := len(created)
+		mu.Unlock()
+		json.NewEncoder(w).Encode(map[string]any{"data": map[string]any{"groups": groups}})
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
@@ -191,8 +199,11 @@ func TestRunLoadEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(created) != 50 {
-		t.Fatalf("population created %d groups, want 50", len(created))
+	mu.Lock()
+	nCreated := len(created)
+	mu.Unlock()
+	if nCreated != 50 {
+		t.Fatalf("population created %d groups, want 50", nCreated)
 	}
 	if rep.Ops == 0 || rep.OpsPerSec == 0 {
 		t.Fatalf("no ops recorded: %+v", rep)

@@ -55,6 +55,8 @@ type Server struct {
 	tracer   *obs.TraceRecorder
 	ready    ReadyCheck
 	mux      *http.ServeMux
+	// planTail closes every group plan reply; see appendPlanData.
+	planTail []byte
 }
 
 // NewServer returns a handler-ready server using the given engine for
@@ -64,7 +66,7 @@ type Server struct {
 // it is empty the fault endpoints answer 503. Options wire the optional
 // observability and readiness surfaces of obs.go and ready.go.
 func NewServer(eng rbn.Engine, set *shard.Set, monitors []*faultd.Monitor, opts ...Option) *Server {
-	s := &Server{eng: eng, set: set, monitors: monitors, mux: http.NewServeMux()}
+	s := &Server{eng: eng, set: set, monitors: monitors, mux: http.NewServeMux(), planTail: planTail(set.N())}
 	for _, opt := range opts {
 		opt(s)
 	}

@@ -21,9 +21,12 @@ package api
 import (
 	"context"
 	"encoding/base64"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"brsmn/internal/backend"
 	"brsmn/internal/cost"
@@ -212,7 +215,9 @@ func (s *Server) handleGroupDelete(w http.ResponseWriter, r *http.Request) {
 	writeData(w, http.StatusOK, map[string]string{"deleted": id})
 }
 
-// GroupPlanResponse is the GET /v1/groups/{id}/plan reply.
+// GroupPlanResponse is the GET /v1/groups/{id}/plan reply: the type
+// clients decode it into. The server does not build it; appendPlanData
+// writes the same JSON directly.
 type GroupPlanResponse struct {
 	ID      string `json:"id"`
 	Gen     uint64 `json:"gen"`
@@ -240,23 +245,67 @@ func (s *Server) handleGroupPlan(w http.ResponseWriter, r *http.Request) {
 		groupErr(w, err)
 		return
 	}
-	writeData(w, http.StatusOK, s.planResponse(p))
+	bp := planBufs.Get().(*[]byte)
+	buf := append((*bp)[:0], `{"data":`...)
+	buf = s.appendPlanData(buf, p)
+	buf = append(buf, ",\"error\":null}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf) // a failed write means the client is gone
+	*bp = buf
+	planBufs.Put(bp)
 }
 
-// planResponse renders a PlanInfo as the wire shape. Every group is
-// planned on the full BRSMN in one pass.
-func (s *Server) planResponse(p groupd.PlanInfo) GroupPlanResponse {
-	row := cost.BRSMN(s.set.N())
-	return GroupPlanResponse{
-		ID:      p.ID,
-		Gen:     p.Gen,
-		Cached:  p.Cached,
-		Columns: p.Columns,
-		Plan:    base64.StdEncoding.EncodeToString(p.Blob),
-		Backend: backend.TierBRSMN.String(),
-		Passes:  1,
-		Cost:    &row,
+// planBufs recycles the envelope buffers of plan replies; a reply at
+// n = 1024 is about 19 KiB.
+var planBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// planTail renders the part of every group plan reply that depends only
+// on the serving size: the backend, the pass count and the BRSMN cost
+// row, closing the data object.
+func planTail(n int) []byte {
+	// A string and a struct of a string and ints always marshal.
+	name, _ := json.Marshal(backend.TierBRSMN.String())
+	row, _ := json.Marshal(cost.BRSMN(n))
+	tail := append([]byte(`,"backend":`), name...)
+	tail = append(tail, `,"passes":1,"cost":`...)
+	tail = append(tail, row...)
+	return append(tail, '}')
+}
+
+// appendPlanData appends p as the JSON of a GroupPlanResponse, byte for
+// byte what encoding/json writes for it. Every group is planned on the
+// full BRSMN in one pass, so the tail is the server's precomputed
+// planTail; the plan is one base64 pass over the cached blob.
+func (s *Server) appendPlanData(buf []byte, p groupd.PlanInfo) []byte {
+	buf = append(buf, `{"id":`...)
+	buf = appendJSONString(buf, p.ID)
+	buf = append(buf, `,"gen":`...)
+	buf = strconv.AppendUint(buf, p.Gen, 10)
+	buf = append(buf, `,"cached":`...)
+	buf = strconv.AppendBool(buf, p.Cached)
+	buf = append(buf, `,"columns":`...)
+	buf = strconv.AppendInt(buf, int64(p.Columns), 10)
+	buf = append(buf, `,"plan":"`...)
+	buf = base64.StdEncoding.AppendEncode(buf, p.Blob)
+	buf = append(buf, '"')
+	return append(buf, s.planTail...)
+}
+
+// appendJSONString appends v as a JSON string with encoding/json's
+// escaping. Plain printable ASCII, the common group id, is copied as is;
+// anything else goes through json.Marshal, so HTML-sensitive and
+// non-ASCII characters are escaped exactly as the encoder escapes them.
+func appendJSONString(buf []byte, v string) []byte {
+	for i := 0; i < len(v); i++ {
+		if c := v[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(v) // a string always marshals
+			return append(buf, q...)
+		}
 	}
+	buf = append(buf, '"')
+	buf = append(buf, v...)
+	return append(buf, '"')
 }
 
 // BackendInfo describes one fabric in the GET /v1/backends reply.
@@ -314,8 +363,8 @@ type HealthResponse struct {
 	Groups  int    `json:"groups"`
 	Epoch   int64  `json:"epoch"`
 	Pending int64  `json:"pending"`
-	// Faults carries shard 0's fault-management counters when the
-	// server has fault monitors.
+	// Faults carries the fault-management counters of every shard's
+	// monitor, combined by faultStats, when the server has monitors.
 	Faults *faultd.Stats `json:"faults,omitempty"`
 	// Shards carries the serving layer's aggregated snapshot.
 	Shards *shard.SetStats `json:"shards,omitempty"`
@@ -329,10 +378,34 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Epoch:   s.set.Epoch(),
 		Pending: s.set.Pending(),
 		Shards:  &shards,
-	}
-	if fm := s.defaultMonitor(); fm != nil {
-		st := fm.Stats()
-		resp.Faults = &st
+		Faults:  s.faultStats(),
 	}
 	writeData(w, http.StatusOK, resp)
+}
+
+// faultStats combines the monitors' counters, nil without monitors. A
+// fault detected on any shard marks the whole as detected, and
+// DetectedAtProbe is the earliest shard-local detection. The counters
+// are summed. So is Version, which therefore changes whenever any
+// shard's fault policy does.
+func (s *Server) faultStats() *faultd.Stats {
+	if len(s.monitors) == 0 {
+		return nil
+	}
+	var sum faultd.Stats
+	for _, fm := range s.monitors {
+		st := fm.Stats()
+		sum.ProbeRounds += st.ProbeRounds
+		sum.ProbesRun += st.ProbesRun
+		sum.ProbeFailures += st.ProbeFailures
+		sum.Detected = sum.Detected || st.Detected
+		if st.DetectedAtProbe != 0 && (sum.DetectedAtProbe == 0 || st.DetectedAtProbe < sum.DetectedAtProbe) {
+			sum.DetectedAtProbe = st.DetectedAtProbe
+		}
+		sum.Candidates += st.Candidates
+		sum.QuarantinedOuts += st.QuarantinedOuts
+		sum.DegradedReplans += st.DegradedReplans
+		sum.Version += st.Version
+	}
+	return &sum
 }

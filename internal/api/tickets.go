@@ -102,7 +102,7 @@ func (s *Server) ticketView(tk *shard.Ticket) TicketView {
 		} else if up, ok := tk.Update(); ok {
 			v.Result = up
 		} else if p, ok := tk.Plan(); ok {
-			v.Result = s.planResponse(p)
+			v.Result = json.RawMessage(s.appendPlanData(nil, p))
 		}
 	}
 	return v

@@ -237,3 +237,52 @@ func TestShardedServer(t *testing.T) {
 		t.Fatalf("sharded epoch report = %+v", rep)
 	}
 }
+
+// TestHealthzSeesEveryShard arms a stuck-at fault on shard 1 only and
+// checks healthz reports the detection and counts both shards' probes.
+func TestHealthzSeesEveryShard(t *testing.T) {
+	ts, _ := newShardServer(t, 2)
+	if code := doJSON(t, "POST", ts.URL+"/v1/probe?shard=0", nil, nil); code != http.StatusOK {
+		t.Fatalf("probe shard 0 = %d", code)
+	}
+	detected := false
+	for _, spec := range []string{"stuck:3:2:parallel", "stuck:3:2:cross"} {
+		if code := doJSON(t, "DELETE", ts.URL+"/v1/faults?shard=1", nil, nil); code != http.StatusOK {
+			t.Fatalf("clear shard 1 = %d", code)
+		}
+		if code := doJSON(t, "POST", ts.URL+"/v1/faults?shard=1", InjectFaultsRequest{Spec: spec}, nil); code != http.StatusOK {
+			t.Fatalf("inject %q on shard 1 = %d", spec, code)
+		}
+		var probe faultd.ProbeReport
+		if code := doJSON(t, "POST", ts.URL+"/v1/probe?shard=1", nil, &probe); code != http.StatusOK {
+			t.Fatalf("probe shard 1 = %d", code)
+		}
+		if probe.Detected {
+			detected = true
+			break
+		}
+	}
+	if !detected {
+		t.Fatal("no stuck value of (col 3, switch 2) was detected on shard 1")
+	}
+
+	var h HealthResponse
+	if code := doJSON(t, "GET", ts.URL+"/v1/healthz", nil, &h); code != http.StatusOK {
+		t.Fatalf("healthz = %d", code)
+	}
+	var shard0, shard1 faultd.Report
+	doJSON(t, "GET", ts.URL+"/v1/faults/report?shard=0", nil, &shard0)
+	doJSON(t, "GET", ts.URL+"/v1/faults/report?shard=1", nil, &shard1)
+	if shard0.Stats.Detected || !shard1.Stats.Detected {
+		t.Fatalf("per-shard detection = %v/%v, want false/true", shard0.Stats.Detected, shard1.Stats.Detected)
+	}
+	if h.Faults == nil || !h.Faults.Detected {
+		t.Fatalf("healthz faults = %+v, want detected", h.Faults)
+	}
+	if want := shard0.Stats.ProbeRounds + shard1.Stats.ProbeRounds; h.Faults.ProbeRounds != want {
+		t.Fatalf("healthz probe rounds = %d, want the sum %d", h.Faults.ProbeRounds, want)
+	}
+	if h.Faults.Candidates != shard1.Stats.Candidates {
+		t.Fatalf("healthz candidates = %d, want shard 1's %d", h.Faults.Candidates, shard1.Stats.Candidates)
+	}
+}

@@ -11,10 +11,18 @@
 // backward phase mirrors it. The simulation here reproduces exactly that
 // schedule, so measured cycle counts grow as the paper's complexity
 // claims say they must.
+//
+// ForwardSweep, BackwardSweep and MeasuredBackwardDelay simulate on
+// every call. ForwardDelay, the worst-case figure every routing-delay
+// model and cost row is built from, is memoized: each size is simulated
+// once per process, so a cost row costs O(log n) integer work after its
+// first use.
 package gates
 
 import (
 	"fmt"
+	"math/bits"
+	"sync/atomic"
 
 	"brsmn/internal/shuffle"
 )
@@ -143,18 +151,33 @@ func ForwardSweep(leaves []int) (sum, cycles int, err error) {
 	return sum, lastSignificant, nil
 }
 
+// forwardDelays memoizes ForwardDelay by log2 n; 0 means not yet
+// simulated. A power of two below 2^63 has at most 63 as its log, so the
+// table is bounded whatever sizes callers ask for.
+var forwardDelays [64]atomic.Int64
+
 // ForwardDelay returns the forward-phase delay in gate delays for an
 // n-input RBN: measured by simulating the sweep on worst-case leaf
-// values (all ones, maximizing the sum's bit width).
+// values (all ones, maximizing the sum's bit width). The result depends
+// on n alone, so each size is simulated once and later calls read the
+// memo. It panics if n is not a power of two.
 func ForwardDelay(n int) int {
+	if !shuffle.IsPow2(n) {
+		panic(fmt.Errorf("gates: %d leaves is not a power of two >= 1", n)) // n is validated by callers
+	}
+	slot := &forwardDelays[bits.TrailingZeros(uint(n))]
+	if d := slot.Load(); d != 0 {
+		return int(d)
+	}
 	leaves := make([]int, n)
 	for i := range leaves {
 		leaves[i] = 1
 	}
 	_, cycles, err := ForwardSweep(leaves)
 	if err != nil {
-		panic(err) // n is validated by callers
+		panic(err)
 	}
+	slot.Store(int64(cycles))
 	return cycles
 }
 

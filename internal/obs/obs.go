@@ -148,7 +148,7 @@ type Registry struct {
 	order  []string // registration order of series names
 	by     map[string]*series
 	help   map[string]string // family -> help
-	common string           // rendered label pair folded into every series at scrape
+	common string            // rendered label pair folded into every series at scrape
 }
 
 // NewRegistry returns an empty registry.
