@@ -285,37 +285,6 @@ func BenchmarkFig12ForwardSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkEngine compares the sequential and parallel switch-setting
-// engines on one large scatter plan — the distributed algorithm's
-// software parallelism ablation.
-func BenchmarkEngine(b *testing.B) {
-	b.ReportAllocs()
-	n := 4096
-	vals := []tag.Value{tag.V0, tag.V1, tag.Alpha, tag.Eps}
-	rng := rand.New(rand.NewSource(12))
-	tags := make([]tag.Value, n)
-	for i := range tags {
-		tags[i] = vals[rng.Intn(4)]
-	}
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := rbn.Sequential.ScatterPlan(n, tags, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		eng := rbn.ParallelEngine()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.ScatterPlan(n, tags, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationCentralizedSetting compares computing switch settings
 // for a full permutation with the paper's distributed algorithm
 // (permutation network, quasisort passes) against the centralized Benes
@@ -716,14 +685,13 @@ func BenchmarkRouteReuse(b *testing.B) {
 				}
 			}
 		})
-		// The "network" regime with observability on: engine occupancy
-		// accounting plus the planner pool's always-on counters — the
-		// configuration brsmnd runs with -metrics (its default). The
-		// acceptance budget is within 5 allocs/op and 5% wall-clock of
-		// the plain network regime.
+		// The "network" regime with observability on: the planner pool's
+		// always-on counters — the configuration brsmnd runs with
+		// -metrics (its default). The acceptance budget is within 5
+		// allocs/op and 5% wall-clock of the plain network regime.
 		b.Run(fmt.Sprintf("network-obs/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
-			nw, err := core.New(n, rbn.Engine{Workers: 1, Occ: &rbn.Occupancy{}})
+			nw, err := core.New(n, rbn.Engine{Workers: 1})
 			if err != nil {
 				b.Fatal(err)
 			}

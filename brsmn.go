@@ -57,10 +57,11 @@ type config struct {
 // Option configures network construction.
 type Option func(*config)
 
-// WithParallelSetting runs the distributed switch-setting sweeps with the
-// given number of worker goroutines (the tree nodes of each level are
-// independent, mirroring the hardware's parallelism). workers <= 1 is
-// sequential.
+// WithParallelSetting routes the two independent half-size sub-BRSMNs
+// of each level concurrently, forking up to workers goroutines (capped
+// at GOMAXPROCS). The setting sweeps themselves run on the routing
+// goroutine. workers <= 1 is sequential; plans are bit-identical either
+// way.
 func WithParallelSetting(workers int) Option {
 	return func(c *config) { c.engine = rbn.Engine{Workers: workers} }
 }
@@ -121,8 +122,7 @@ type Planner struct {
 }
 
 // NewPlanner returns a reusable planner for an n x n BRSMN. Options are
-// the same as New; WithParallelSetting additionally parallelizes the
-// planner's sub-network recursion across the independent halves.
+// the same as New.
 func NewPlanner(n int, opts ...Option) (*Planner, error) {
 	c := buildConfig(opts)
 	inner, err := core.NewPlanner(n, c.engine)

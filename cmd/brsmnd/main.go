@@ -73,7 +73,6 @@ type config struct {
 	epochThreshold int
 	cacheSize      int
 	shards         int
-	registryShards int
 	batchMax       int
 	queueDepth     int
 	ticketCap      int
@@ -128,13 +127,12 @@ func parseFlags(args []string) (config, error) {
 	var cfg config
 	fs := flag.NewFlagSet("brsmnd", flag.ContinueOnError)
 	fs.StringVar(&cfg.addr, "addr", ":8642", "listen address")
-	fs.IntVar(&cfg.workers, "workers", 1, "switch-setting worker goroutines per shard")
+	fs.IntVar(&cfg.workers, "workers", 1, "planner worker goroutines per shard: the sub-BRSMN fork width of one route and the rounds routed concurrently per epoch")
 	fs.IntVar(&cfg.n, "n", 1024, "network size for long-lived groups (power of two)")
 	fs.DurationVar(&cfg.epochPeriod, "epoch", 250*time.Millisecond, "epoch reroute period (0 disables the timer)")
 	fs.IntVar(&cfg.epochThreshold, "epoch-threshold", 64, "pending membership changes that force an early epoch (0 disables)")
 	fs.IntVar(&cfg.cacheSize, "cache", 4096, "plan cache capacity in entries, per shard")
 	fs.IntVar(&cfg.shards, "shards", 1, "serving shards: independent planner fabrics groups are partitioned across")
-	fs.IntVar(&cfg.registryShards, "registry-shards", 16, "group registry lock shards within each serving shard")
 	fs.IntVar(&cfg.batchMax, "batch-max", 32, "max admissions drained per shard worker batch")
 	fs.IntVar(&cfg.queueDepth, "queue-depth", 256, "per-shard admission queue depth (full queue sheds with 429)")
 	fs.IntVar(&cfg.ticketCap, "ticket-cap", 65536, "async-admission tickets tracked at once (open + completed awaiting pickup)")
@@ -214,16 +212,8 @@ func newHandler(cfg config) (http.Handler, *daemon, error) {
 			// scrape N nodes without series colliding.
 			reg.SetCommonLabel(fmt.Sprintf("node=%q", cfg.nodeID))
 		}
-		eng.Occ = &rbn.Occupancy{}
-		occ := eng.Occ
-		reg.GaugeFunc("brsmn_engine_workers", "Configured switch-setting worker goroutines.",
+		reg.GaugeFunc("brsmn_engine_workers", "Configured planner worker goroutines (-workers).",
 			func() float64 { return float64(cfg.workers) })
-		reg.GaugeFunc(`brsmn_engine_occupancy{kind="busy"}`,
-			"Switch-setting workers: currently running and observed peak.",
-			func() float64 { return float64(occ.Busy()) })
-		reg.GaugeFunc(`brsmn_engine_occupancy{kind="peak"}`,
-			"Switch-setting workers: currently running and observed peak.",
-			func() float64 { return float64(occ.Peak()) })
 		reg.GaugeFunc("brsmn_goroutines", "Live goroutines in the daemon process.",
 			func() float64 { return float64(runtime.NumGoroutine()) })
 	}
@@ -300,7 +290,6 @@ func newHandler(cfg config) (http.Handler, *daemon, error) {
 		Group: groupd.Config{
 			N:              cfg.n,
 			Engine:         eng,
-			Shards:         cfg.registryShards,
 			CacheSize:      cfg.cacheSize,
 			EpochPeriod:    cfg.epochPeriod,
 			EpochThreshold: cfg.epochThreshold,

@@ -22,7 +22,7 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if cfg.epochPeriod != 250*time.Millisecond || cfg.epochThreshold != 64 || cfg.cacheSize != 4096 {
 		t.Fatalf("epoch defaults = %+v", cfg)
 	}
-	if cfg.shards != 1 || cfg.registryShards != 16 || cfg.batchMax != 32 || cfg.queueDepth != 256 {
+	if cfg.shards != 1 || cfg.batchMax != 32 || cfg.queueDepth != 256 {
 		t.Fatalf("shard defaults = %+v", cfg)
 	}
 	if cfg.probeEvery != 0 || cfg.probeCount != 4 || cfg.faultInject != "" || cfg.faultSeed != 1 {
@@ -44,7 +44,7 @@ func TestParseFlagsOverrides(t *testing.T) {
 	cfg, err := parseFlags([]string{
 		"-addr", ":9000", "-n", "64", "-workers", "3",
 		"-epoch", "1s", "-epoch-threshold", "8", "-cache", "16",
-		"-shards", "4", "-registry-shards", "8", "-batch-max", "16", "-queue-depth", "64",
+		"-shards", "4", "-batch-max", "16", "-queue-depth", "64",
 		"-probe-every", "2", "-probe-count", "6", "-fault-inject", "dead:0:1", "-fault-seed", "99",
 		"-metrics=false", "-trace-sample", "7",
 		"-data-dir", "/tmp/brsmnd-x", "-snapshot-every", "30s", "-fsync-batch", "1",
@@ -58,7 +58,7 @@ func TestParseFlagsOverrides(t *testing.T) {
 		cfg.epochPeriod != time.Second || cfg.epochThreshold != 8 || cfg.cacheSize != 16 {
 		t.Fatalf("overrides = %+v", cfg)
 	}
-	if cfg.shards != 4 || cfg.registryShards != 8 || cfg.batchMax != 16 || cfg.queueDepth != 64 {
+	if cfg.shards != 4 || cfg.batchMax != 16 || cfg.queueDepth != 64 {
 		t.Fatalf("shard overrides = %+v", cfg)
 	}
 	if cfg.probeEvery != 2 || cfg.probeCount != 6 || cfg.faultInject != "dead:0:1" || cfg.faultSeed != 99 {
@@ -86,6 +86,11 @@ func TestParseFlagsErrors(t *testing.T) {
 	}
 	if _, err := parseFlags([]string{"-shards", "0"}); err == nil {
 		t.Fatal("-shards 0 accepted")
+	}
+	// The group registry is one map per serving shard; the old lock
+	// striping flag is gone.
+	if _, err := parseFlags([]string{"-registry-shards", "8"}); err == nil {
+		t.Fatal("-registry-shards accepted")
 	}
 	// Cluster flags come as a pair and must be self-consistent.
 	if _, err := parseFlags([]string{"-node-id", "a"}); err == nil {

@@ -65,7 +65,6 @@ func TestHandlerMetricsAndTrace(t *testing.T) {
 		"brsmn_plan_cache_ops_total",
 		"brsmn_planner_pool_ops_total",
 		`brsmn_faultd_probe_rounds_total{shard="0"} 1`,
-		"brsmn_engine_occupancy",
 		"brsmn_goroutines",
 		"brsmn_http_requests_total",
 		`brsmn_shard_admitted_total{shard="0"} 1`,

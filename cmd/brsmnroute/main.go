@@ -41,7 +41,7 @@ func main() {
 		bcast   = flag.Int("broadcast", -1, "route a full broadcast from this input")
 		fb      = flag.Bool("feedback", false, "use the feedback implementation (Fig. 13)")
 		seqs    = flag.Bool("sequences", true, "print routing-tag sequences")
-		workers = flag.Int("workers", 1, "switch-setting worker goroutines")
+		workers = flag.Int("workers", 1, "planner goroutines: the sub-BRSMN fork width of the route")
 		verbose = flag.Bool("v", false, "print per-level switch plans")
 		svgOut  = flag.String("svg", "", "also write an SVG figure of the routing to this file")
 		trees   = flag.Bool("trees", false, "print each multicast's routing-tag tree (Fig. 9)")

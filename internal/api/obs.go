@@ -12,13 +12,16 @@ package api
 //
 // Every handler is additionally wrapped to count requests by handler
 // and status code (brsmn_http_requests_total) and observe latency
-// (brsmn_http_request_seconds). Without a registry the wrapper is a
-// direct call — no status capture, no clock reads.
+// (brsmn_http_request_seconds). Without a registry the handler is left
+// unwrapped — no status capture, no clock reads.
 
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"brsmn/internal/obs"
@@ -86,18 +89,79 @@ func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter 
 // instrument wraps h with per-handler request counting and latency
 // observation. With no registry it returns h unchanged.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
+	if s.reg == nil {
+		return h
+	}
+	hm := &handlerMetrics{
+		reg:      s.reg,
+		name:     name,
+		histName: `brsmn_http_request_seconds{handler=` + strconv.Quote(name) + `}`,
+	}
+	hm.codes.Store(new([]codeCounter))
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.reg == nil {
-			h(w, r)
-			return
-		}
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		t0 := time.Now()
 		h(sw, r)
-		s.reg.Counter(
-			fmt.Sprintf(`brsmn_http_requests_total{handler=%q,code="%d"}`, name, sw.code),
-			"HTTP requests by handler and status code.").Inc()
-		s.reg.Histogram(`brsmn_http_request_seconds{handler=`+strconv.Quote(name)+`}`,
-			"HTTP request latency by handler.", obs.SecondsBuckets()).ObserveDuration(time.Since(t0))
+		hm.counter(sw.code).Inc()
+		hm.histogram().ObserveDuration(time.Since(t0))
 	}
+}
+
+// handlerMetrics caches one handler's series. Both register on the
+// handler's first request, in the order the exposition has always
+// shown them (the request counter, then the latency histogram); after
+// that a request costs two atomic loads and a scan of the few status
+// codes the handler has answered.
+type handlerMetrics struct {
+	reg      *obs.Registry
+	name     string
+	histName string
+	hist     atomic.Pointer[obs.Histogram]
+	mu       sync.Mutex                    // serializes codes growth
+	codes    atomic.Pointer[[]codeCounter] // copy-on-write
+}
+
+// codeCounter is the request counter of one (handler, status code).
+type codeCounter struct {
+	code int
+	c    *obs.Counter
+}
+
+// lookup returns the counter of an already-seen status code, or nil.
+func (hm *handlerMetrics) lookup(code int) *obs.Counter {
+	for _, cc := range *hm.codes.Load() {
+		if cc.code == code {
+			return cc.c
+		}
+	}
+	return nil
+}
+
+func (hm *handlerMetrics) counter(code int) *obs.Counter {
+	if c := hm.lookup(code); c != nil {
+		return c
+	}
+	hm.mu.Lock()
+	defer hm.mu.Unlock()
+	if c := hm.lookup(code); c != nil {
+		return c
+	}
+	c := hm.reg.Counter(
+		fmt.Sprintf(`brsmn_http_requests_total{handler=%q,code="%d"}`, hm.name, code),
+		"HTTP requests by handler and status code.")
+	// Clip forces append to copy, so a reader of the old slice never
+	// sees it change.
+	next := append(slices.Clip(*hm.codes.Load()), codeCounter{code, c})
+	hm.codes.Store(&next)
+	return c
+}
+
+func (hm *handlerMetrics) histogram() *obs.Histogram {
+	if h := hm.hist.Load(); h != nil {
+		return h
+	}
+	// The registry returns the same series to every racing caller.
+	h := hm.reg.Histogram(hm.histName, "HTTP request latency by handler.", obs.SecondsBuckets())
+	hm.hist.Store(h)
+	return h
 }

@@ -1,10 +1,12 @@
 package api
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"brsmn/internal/groupd"
@@ -70,6 +72,44 @@ func TestMetricsEndpoint(t *testing.T) {
 			if !strings.Contains(text, series) {
 				t.Errorf("%s missing %q", path, series)
 			}
+		}
+	}
+}
+
+// TestMetricsConcurrentCodes drives one handler from several goroutines
+// with two status codes at once: every request lands on exactly one
+// (handler, code) counter and one latency observation.
+func TestMetricsConcurrentCodes(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := newSizedServer(t, 16, WithMetrics(reg))
+	const goroutines, each = 8, 50
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				path := "/v1/cost?n=8"
+				if i%2 == 1 {
+					path = "/v1/cost?n=3"
+				}
+				s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", path, nil))
+			}
+		}()
+	}
+	wg.Wait()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	half := fmt.Sprint(goroutines * each / 2)
+	for _, line := range []string{
+		`brsmn_http_requests_total{handler="cost",code="200"} ` + half,
+		`brsmn_http_requests_total{handler="cost",code="400"} ` + half,
+		`brsmn_http_request_seconds_count{handler="cost"} ` + fmt.Sprint(goroutines*each),
+	} {
+		if !strings.Contains(b.String(), line+"\n") {
+			t.Errorf("exposition missing %q", line)
 		}
 	}
 }

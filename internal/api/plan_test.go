@@ -12,6 +12,7 @@ import (
 	"brsmn/internal/backend"
 	"brsmn/internal/cost"
 	"brsmn/internal/groupd"
+	"brsmn/internal/obs"
 	"brsmn/internal/rbn"
 	"brsmn/internal/shard"
 )
@@ -33,15 +34,15 @@ func (s *Server) planResponse(p groupd.PlanInfo) GroupPlanResponse {
 }
 
 // newSizedServer serves a one-shard Set over an n-port fabric without
-// metrics or fault monitors.
-func newSizedServer(tb testing.TB, n int) *Server {
+// fault monitors; opts may switch on metrics.
+func newSizedServer(tb testing.TB, n int, opts ...Option) *Server {
 	tb.Helper()
 	set, err := shard.New(shard.Config{Group: groupd.Config{N: n, Engine: rbn.Sequential}})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { set.Close() })
-	return NewServer(rbn.Sequential, set, nil)
+	return NewServer(rbn.Sequential, set, nil, opts...)
 }
 
 // discardWriter is a ResponseWriter that keeps the headers and drops the
@@ -119,8 +120,8 @@ func TestCachedGroupPlanServed(t *testing.T) {
 
 // cachedPlanFetch returns a warm server at n = 1024 and a request for
 // one of its cached plans.
-func cachedPlanFetch(tb testing.TB) (*Server, *http.Request) {
-	s := newSizedServer(tb, 1024)
+func cachedPlanFetch(tb testing.TB, opts ...Option) (*Server, *http.Request) {
+	s := newSizedServer(tb, 1024, opts...)
 	members := make([]int, 0, 256)
 	for d := 0; d < 1024; d += 4 {
 		members = append(members, d)
@@ -141,32 +142,58 @@ func cachedPlanFetch(tb testing.TB) (*Server, *http.Request) {
 const maxCachedPlanAllocs = 16
 
 // TestCachedGroupPlanAllocs gates the allocations of a cached
-// GET /v1/groups/{id}/plan at n = 1024.
+// GET /v1/groups/{id}/plan at n = 1024. With WithMetrics the request
+// counter and latency histogram may add only the status-capturing
+// writer: their series are resolved once per handler and status code.
 func TestCachedGroupPlanAllocs(t *testing.T) {
-	s, req := cachedPlanFetch(t)
+	plain := cachedPlanAllocs(t)
+	t.Logf("cached plan fetch at n=1024: %.0f allocs", plain)
+	if plain > maxCachedPlanAllocs {
+		t.Errorf("cached plan fetch allocates %.0f times, want <= %d", plain, maxCachedPlanAllocs)
+	}
+	t.Run("metrics", func(t *testing.T) {
+		withMetrics := cachedPlanAllocs(t, WithMetrics(obs.NewRegistry()))
+		t.Logf("cached plan fetch at n=1024 with metrics: %.0f allocs", withMetrics)
+		if withMetrics > plain+1 {
+			t.Errorf("metrics add %.0f allocs to a cached plan fetch (%.0f without), want <= 1", withMetrics-plain, plain)
+		}
+	})
+}
+
+// cachedPlanAllocs counts the steady-state allocations of one cached
+// plan fetch through ServeHTTP.
+func cachedPlanAllocs(t *testing.T, opts ...Option) float64 {
+	s, req := cachedPlanFetch(t, opts...)
 	w := &discardWriter{h: http.Header{}}
 	s.ServeHTTP(w, req)
 	if w.code != http.StatusOK || w.n < 10_000 {
 		t.Fatalf("cached fetch = %d, %d bytes", w.code, w.n)
 	}
-	allocs := testing.AllocsPerRun(200, func() { s.ServeHTTP(w, req) })
-	t.Logf("cached plan fetch at n=1024: %.0f allocs", allocs)
-	if allocs > maxCachedPlanAllocs {
-		t.Errorf("cached plan fetch allocates %.0f times, want <= %d", allocs, maxCachedPlanAllocs)
-	}
+	return testing.AllocsPerRun(200, func() { s.ServeHTTP(w, req) })
 }
 
 // BenchmarkCachedGroupPlan measures one cached plan fetch at n = 1024
-// through ServeHTTP, body discarded.
+// through ServeHTTP, body discarded, without and with the request
+// metrics brsmnd serves by default.
 func BenchmarkCachedGroupPlan(b *testing.B) {
-	s, req := cachedPlanFetch(b)
-	w := &discardWriter{h: http.Header{}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ServeHTTP(w, req)
-	}
-	if w.code != http.StatusOK {
-		b.Fatalf("cached fetch = %d", w.code)
+	for _, c := range []struct {
+		name string
+		opts []Option
+	}{
+		{"metrics=off", nil},
+		{"metrics=on", []Option{WithMetrics(obs.NewRegistry())}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s, req := cachedPlanFetch(b, c.opts...)
+			w := &discardWriter{h: http.Header{}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.ServeHTTP(w, req)
+			}
+			if w.code != http.StatusOK {
+				b.Fatalf("cached fetch = %d", w.code)
+			}
+		})
 	}
 }

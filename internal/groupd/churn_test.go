@@ -126,7 +126,7 @@ func TestChurnSoak(t *testing.T) {
 }
 
 // TestConcurrentChurn hammers the manager from many goroutines while the
-// background epoch loop runs — the -race workout for the sharded
+// background epoch loop runs — the -race workout for the group
 // registry, per-session locks, plan cache and epoch snapshotting.
 func TestConcurrentChurn(t *testing.T) {
 	const (
@@ -137,7 +137,6 @@ func TestConcurrentChurn(t *testing.T) {
 	m := newTestManager(t, Config{
 		N:              n,
 		CacheSize:      8,
-		Shards:         4,
 		EpochPeriod:    time.Millisecond,
 		EpochThreshold: 10,
 		Workers:        2,

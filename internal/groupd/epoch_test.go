@@ -255,7 +255,7 @@ func TestEpochIncrementalMatchesFullSweep(t *testing.T) {
 // the snapshot the reference sweeps, so the reports must still match.
 func TestEpochIncrementalConcurrentJoins(t *testing.T) {
 	const n = 32
-	m := newTestManager(t, Config{N: n, Workers: 2, Shards: 4})
+	m := newTestManager(t, Config{N: n, Workers: 2})
 	rng := rand.New(rand.NewSource(33))
 	for g := 0; g < 12; g++ {
 		mustCreate(t, m, fmt.Sprintf("g%d", g), rng.Intn(n), randomMembers(rng, n, 1+rng.Intn(6)))

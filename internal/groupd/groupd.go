@@ -5,8 +5,8 @@
 //
 //   - a session registry: long-lived multicast groups keyed by ID, each
 //     wrapping a brsmn.Group whose routing-tag tree is mutated
-//     incrementally (O(log n) nodes per join/leave) under a sharded
-//     RWMutex, with a generation counter bumped on every change;
+//     incrementally (O(log n) nodes per join/leave) under a per-session
+//     mutex, with a generation counter bumped on every change;
 //   - an epoch scheduler: membership changes accumulate, and every epoch
 //     (timer tick or pending-change threshold) the live groups are
 //     partitioned into conflict-free rounds by internal/sched and routed
@@ -24,7 +24,6 @@ package groupd
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,8 +60,6 @@ type Config struct {
 	N int
 	// Engine runs the distributed switch-setting sweeps.
 	Engine rbn.Engine
-	// Shards is the registry shard count (default 16).
-	Shards int
 	// CacheSize caps the plan cache in entries (default 1024).
 	CacheSize int
 	// EpochPeriod drives the timer-based epoch loop; 0 disables the
@@ -114,9 +111,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 1024
 	}
@@ -131,7 +125,7 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// session is one registered group. The registry shard lock covers the
+// session is one registered group. Manager.regMu covers the registry
 // map; the session's own mutex covers the tag tree and generation.
 type session struct {
 	mu    sync.Mutex
@@ -145,19 +139,15 @@ type session struct {
 	chg [chgRing]memberChange
 }
 
-type shard struct {
-	mu     sync.RWMutex
-	groups map[string]*session
-}
-
 // Manager is the stateful group subsystem. Construct with NewManager and
 // release with Close.
 type Manager struct {
-	cfg    Config
-	nw     *core.Network
-	seed   maphash.Seed
-	shards []*shard
-	cache  *planCache
+	cfg   Config
+	nw    *core.Network
+	cache *planCache
+
+	regMu  sync.RWMutex // covers groups
+	groups map[string]*session
 
 	nextID  atomic.Uint64
 	pending atomic.Int64 // membership changes since the last epoch began
@@ -198,15 +188,11 @@ func NewManager(cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:    cfg,
 		nw:     nw,
-		seed:   maphash.MakeSeed(),
-		shards: make([]*shard, cfg.Shards),
 		cache:  newPlanCache(cfg.CacheSize),
+		groups: make(map[string]*session),
 		kick:   make(chan struct{}, 1),
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
-	}
-	for i := range m.shards {
-		m.shards[i] = &shard{groups: make(map[string]*session)}
 	}
 	m.tracer = cfg.Tracer
 	if cfg.Store != nil {
@@ -253,15 +239,10 @@ func (m *Manager) Close() error {
 // N returns the configured network size.
 func (m *Manager) N() int { return m.cfg.N }
 
-func (m *Manager) shardFor(id string) *shard {
-	return m.shards[maphash.String(m.seed, id)%uint64(len(m.shards))]
-}
-
 func (m *Manager) sessionFor(id string) (*session, error) {
-	sh := m.shardFor(id)
-	sh.mu.RLock()
-	s, ok := sh.groups[id]
-	sh.mu.RUnlock()
+	m.regMu.RLock()
+	s, ok := m.groups[id]
+	m.regMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
@@ -319,20 +300,19 @@ func (m *Manager) Create(id string, source int, members []int) (GroupInfo, error
 		}
 	}
 	s := &session{id: id, group: g, gen: 1}
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	if _, ok := sh.groups[id]; ok {
-		sh.mu.Unlock()
+	m.regMu.Lock()
+	if _, ok := m.groups[id]; ok {
+		m.regMu.Unlock()
 		return GroupInfo{}, fmt.Errorf("%w: %q", ErrExists, id)
 	}
 	// Append before the group becomes visible: a crash after this point
 	// replays the create; an append failure leaves no trace.
 	if err := m.appendRecord(store.Record{Op: store.OpCreate, Group: id, Source: source, Gen: 1, Members: members}); err != nil {
-		sh.mu.Unlock()
+		m.regMu.Unlock()
 		return GroupInfo{}, err
 	}
-	sh.groups[id] = s
-	sh.mu.Unlock()
+	m.groups[id] = s
+	m.regMu.Unlock()
 	m.noteChange(1 + len(members))
 	return s.info(), nil
 }
@@ -394,24 +374,23 @@ func (m *Manager) Delete(id string) error {
 	if m.closed.Load() {
 		return ErrClosed
 	}
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	s, ok := sh.groups[id]
+	m.regMu.Lock()
+	s, ok := m.groups[id]
 	if !ok {
-		sh.mu.Unlock()
+		m.regMu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	s.mu.Lock()
 	gen := s.gen
 	if err := m.appendRecord(store.Record{Op: store.OpDelete, Group: id, Gen: gen}); err != nil {
 		s.mu.Unlock()
-		sh.mu.Unlock()
+		m.regMu.Unlock()
 		return err
 	}
 	s.gone = true
 	s.mu.Unlock()
-	delete(sh.groups, id)
-	sh.mu.Unlock()
+	delete(m.groups, id)
+	m.regMu.Unlock()
 	m.cache.invalidate(planKey{id: id, gen: gen, pv: m.policyVersion()})
 	m.noteChange(1)
 	return nil
@@ -441,17 +420,10 @@ func (s *session) info() GroupInfo {
 
 // List returns every registered group's state, sorted by ID.
 func (m *Manager) List() []GroupInfo {
-	var out []GroupInfo
-	for _, sh := range m.shards {
-		sh.mu.RLock()
-		sessions := make([]*session, 0, len(sh.groups))
-		for _, s := range sh.groups {
-			sessions = append(sessions, s)
-		}
-		sh.mu.RUnlock()
-		for _, s := range sessions {
-			out = append(out, s.info())
-		}
+	sessions := m.sessions()
+	out := make([]GroupInfo, 0, len(sessions))
+	for _, s := range sessions {
+		out = append(out, s.info())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -459,13 +431,21 @@ func (m *Manager) List() []GroupInfo {
 
 // Count returns the number of registered groups.
 func (m *Manager) Count() int {
-	c := 0
-	for _, sh := range m.shards {
-		sh.mu.RLock()
-		c += len(sh.groups)
-		sh.mu.RUnlock()
+	m.regMu.RLock()
+	defer m.regMu.RUnlock()
+	return len(m.groups)
+}
+
+// sessions returns the registered sessions in map order, so callers
+// lock each session without holding the registry lock.
+func (m *Manager) sessions() []*session {
+	m.regMu.RLock()
+	defer m.regMu.RUnlock()
+	out := make([]*session, 0, len(m.groups))
+	for _, s := range m.groups {
+		out = append(out, s)
 	}
-	return c
+	return out
 }
 
 // CacheStats snapshots the plan cache counters.
@@ -602,24 +582,17 @@ type groupSnapshot struct {
 // snapshot freezes every registered group's state, sorted by ID so epoch
 // scheduling is deterministic for a given membership.
 func (m *Manager) snapshot() []groupSnapshot {
-	var out []groupSnapshot
-	for _, sh := range m.shards {
-		sh.mu.RLock()
-		sessions := make([]*session, 0, len(sh.groups))
-		for _, s := range sh.groups {
-			sessions = append(sessions, s)
-		}
-		sh.mu.RUnlock()
-		for _, s := range sessions {
-			s.mu.Lock()
-			out = append(out, groupSnapshot{
-				id:      s.id,
-				source:  s.group.Source(),
-				gen:     s.gen,
-				members: s.group.Members(),
-			})
-			s.mu.Unlock()
-		}
+	sessions := m.sessions()
+	out := make([]groupSnapshot, 0, len(sessions))
+	for _, s := range sessions {
+		s.mu.Lock()
+		out = append(out, groupSnapshot{
+			id:      s.id,
+			source:  s.group.Source(),
+			gen:     s.gen,
+			members: s.group.Members(),
+		})
+		s.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out

@@ -89,16 +89,15 @@ func (m *Manager) Install(g store.GroupState, plan *store.PlanState) error {
 			return fmt.Errorf("groupd: install %q member %d: %w", g.ID, d, err)
 		}
 	}
-	sh := m.shardFor(g.ID)
-	sh.mu.Lock()
-	if old, ok := sh.groups[g.ID]; ok {
+	m.regMu.Lock()
+	if old, ok := m.groups[g.ID]; ok {
 		old.mu.Lock()
 		oldGen := old.gen
 		if gen <= oldGen {
 			// Local copy is at least as fresh; keep it. Still seed the
 			// plan when the generations agree and we have nothing cached.
 			old.mu.Unlock()
-			sh.mu.Unlock()
+			m.regMu.Unlock()
 			if plan != nil && gen == oldGen {
 				m.installPlan(g.ID, gen, plan)
 			}
@@ -107,20 +106,20 @@ func (m *Manager) Install(g store.GroupState, plan *store.PlanState) error {
 		// Replace: log the supersession so replay reproduces it.
 		if err := m.appendRecord(store.Record{Op: store.OpDelete, Group: g.ID, Gen: oldGen}); err != nil {
 			old.mu.Unlock()
-			sh.mu.Unlock()
+			m.regMu.Unlock()
 			return err
 		}
 		old.gone = true
 		old.mu.Unlock()
-		delete(sh.groups, g.ID)
+		delete(m.groups, g.ID)
 		m.cache.invalidate(planKey{id: g.ID, gen: oldGen, pv: m.policyVersion()})
 	}
 	if err := m.appendRecord(store.Record{Op: store.OpCreate, Group: g.ID, Source: g.Source, Gen: gen, Members: g.Members}); err != nil {
-		sh.mu.Unlock()
+		m.regMu.Unlock()
 		return err
 	}
-	sh.groups[g.ID] = &session{id: g.ID, group: ng, gen: gen}
-	sh.mu.Unlock()
+	m.groups[g.ID] = &session{id: g.ID, group: ng, gen: gen}
+	m.regMu.Unlock()
 	if plan != nil {
 		m.installPlan(g.ID, gen, plan)
 	}
@@ -143,29 +142,28 @@ func (m *Manager) DeleteIfGen(id string, gen uint64) error {
 	if m.closed.Load() {
 		return ErrClosed
 	}
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	s, ok := sh.groups[id]
+	m.regMu.Lock()
+	s, ok := m.groups[id]
 	if !ok {
-		sh.mu.Unlock()
+		m.regMu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	s.mu.Lock()
 	if s.gen != gen {
 		cur := s.gen
 		s.mu.Unlock()
-		sh.mu.Unlock()
+		m.regMu.Unlock()
 		return fmt.Errorf("%w: %q at gen %d, exported %d", ErrGenMismatch, id, cur, gen)
 	}
 	if err := m.appendRecord(store.Record{Op: store.OpDelete, Group: id, Gen: gen}); err != nil {
 		s.mu.Unlock()
-		sh.mu.Unlock()
+		m.regMu.Unlock()
 		return err
 	}
 	s.gone = true
 	s.mu.Unlock()
-	delete(sh.groups, id)
-	sh.mu.Unlock()
+	delete(m.groups, id)
+	m.regMu.Unlock()
 	m.cache.invalidate(planKey{id: id, gen: gen, pv: m.policyVersion()})
 	m.noteChange(1)
 	return nil

@@ -211,7 +211,7 @@ func (m *Manager) restoreGroup(id string, source int, gen uint64, members []int)
 	if gen == 0 {
 		gen = 1
 	}
-	m.shardFor(id).groups[id] = &session{id: id, group: g, gen: gen}
+	m.groups[id] = &session{id: id, group: g, gen: gen}
 	return nil
 }
 
@@ -222,12 +222,12 @@ func (m *Manager) restoreGroup(id string, source int, gen uint64, members []int)
 func (m *Manager) applyRecord(rec store.Record) error {
 	switch rec.Op {
 	case store.OpCreate:
-		if _, ok := m.shardFor(rec.Group).groups[rec.Group]; ok {
+		if _, ok := m.groups[rec.Group]; ok {
 			return nil // already in the snapshot
 		}
 		return m.restoreGroup(rec.Group, rec.Source, rec.Gen, rec.Members)
 	case store.OpJoin, store.OpLeave:
-		s, ok := m.shardFor(rec.Group).groups[rec.Group]
+		s, ok := m.groups[rec.Group]
 		if !ok || rec.Gen <= s.gen {
 			return nil
 		}
@@ -241,9 +241,8 @@ func (m *Manager) applyRecord(rec store.Record) error {
 		}
 		s.gen = rec.Gen
 	case store.OpDelete:
-		sh := m.shardFor(rec.Group)
-		if s, ok := sh.groups[rec.Group]; ok && rec.Gen >= s.gen {
-			delete(sh.groups, rec.Group)
+		if s, ok := m.groups[rec.Group]; ok && rec.Gen >= s.gen {
+			delete(m.groups, rec.Group)
 		}
 	case store.OpEpoch:
 		if rec.Epoch > m.epochN.Load() {
@@ -261,15 +260,13 @@ func (m *Manager) applyRecord(rec store.Record) error {
 // "g<k>" ID, so post-recovery auto-assignment never collides.
 func (m *Manager) reconcileNextID() {
 	max := m.nextID.Load()
-	for _, sh := range m.shards {
-		for id := range sh.groups {
-			rest, ok := strings.CutPrefix(id, "g")
-			if !ok {
-				continue
-			}
-			if k, err := strconv.ParseUint(rest, 10, 64); err == nil && k > max {
-				max = k
-			}
+	for id := range m.groups {
+		rest, ok := strings.CutPrefix(id, "g")
+		if !ok {
+			continue
+		}
+		if k, err := strconv.ParseUint(rest, 10, 64); err == nil && k > max {
+			max = k
 		}
 	}
 	m.nextID.Store(max)

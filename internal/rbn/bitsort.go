@@ -57,26 +57,20 @@ func (e Engine) BitSortPlanInto(p *Plan, gamma []bool, s int, sc *Scratch) error
 	m := p.M
 
 	// Forward phase: ls[j][b] is l, the γ count of the level-j node
-	// covering links [b*2^j, (b+1)*2^j). Sweep bodies are capture-free
-	// parFor literals, so a sequential engine allocates nothing.
+	// covering links [b*2^j, (b+1)*2^j).
 	ls := sc.ls
-	parFor(e, n, bitSortLeafArgs{ls[0], gamma},
-		func(a bitSortLeafArgs, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := 0
-				if a.gamma[i] {
-					v = 1
-				}
-				a.dst[i] = v
-			}
-		})
+	for i, g := range gamma {
+		v := 0
+		if g {
+			v = 1
+		}
+		ls[0][i] = v
+	}
 	for j := 1; j <= m; j++ {
-		parFor(e, n>>j, intSumArgs{ls[j-1], ls[j][:n>>j]},
-			func(a intSumArgs, lo, hi int) {
-				for b := lo; b < hi; b++ {
-					a.cur[b] = a.prev[2*b] + a.prev[2*b+1]
-				}
-			})
+		prev, cur := ls[j-1], ls[j][:n>>j]
+		for b := range cur {
+			cur[b] = prev[2*b] + prev[2*b+1]
+		}
 	}
 
 	// Backward phase: ss[j][b] is the starting position handed to the
@@ -86,47 +80,25 @@ func (e Engine) BitSortPlanInto(p *Plan, gamma []bool, s int, sc *Scratch) error
 	ss[m][0] = s
 	for j := m; j >= 1; j-- {
 		h := 1 << (j - 1) // half the node size; switches per node
-		args := bitSortBwdArgs{
-			cur: ss[j][:n>>j], child: ss[j-1], lchild: ls[j-1],
-			col: p.Stages[j-1], h: h,
-		}
-		parFor(e, n>>j, args, func(a bitSortBwdArgs, lo, hi int) {
-			h := a.h
-			for b := lo; b < hi; b++ {
-				sNode := a.cur[b]
-				l0 := a.lchild[2*b]
-				s1 := (sNode + l0) % h
-				bset := swbox.Setting(((sNode + l0) / h) % 2)
-				a.child[2*b] = sNode % h
-				a.child[2*b+1] = s1
-				// W^h_{0,s1;b̄,b}: the first s1 switches get bset.
-				base := b * h
-				for i := 0; i < h; i++ {
-					if i < s1 {
-						a.col[base+i] = bset
-					} else {
-						a.col[base+i] = bset.Opposite()
-					}
+		child, lchild, col := ss[j-1], ls[j-1], p.Stages[j-1]
+		for b, sNode := range ss[j][:n>>j] {
+			l0 := lchild[2*b]
+			s1 := (sNode + l0) % h
+			bset := swbox.Setting(((sNode + l0) / h) % 2)
+			child[2*b] = sNode % h
+			child[2*b+1] = s1
+			// W^h_{0,s1;b̄,b}: the first s1 switches get bset.
+			base := b * h
+			for i := 0; i < h; i++ {
+				if i < s1 {
+					col[base+i] = bset
+				} else {
+					col[base+i] = bset.Opposite()
 				}
 			}
-		})
+		}
 	}
 	return nil
-}
-
-// Args structs for the capture-free parFor sweep bodies of
-// BitSortPlanInto.
-type bitSortLeafArgs struct {
-	dst   []int
-	gamma []bool
-}
-
-type intSumArgs struct{ prev, cur []int }
-
-type bitSortBwdArgs struct {
-	cur, child, lchild []int
-	col                []swbox.Setting
-	h                  int
 }
 
 // BitSortRoute composes BitSortPlan with Apply: it routes the boolean

@@ -114,35 +114,6 @@ func TestBitSortOneToOne(t *testing.T) {
 	}
 }
 
-// TestBitSortParallelEngineAgrees checks the parallel engine produces
-// bit-identical plans to the sequential one.
-func TestBitSortParallelEngineAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	par := Engine{Workers: 8}
-	for _, n := range []int{2, 16, 1024, 4096} {
-		gamma := make([]bool, n)
-		for i := range gamma {
-			gamma[i] = rng.Intn(2) == 1
-		}
-		s := rng.Intn(n)
-		p1, err := BitSortPlan(n, gamma, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p2, err := par.BitSortPlan(n, gamma, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range p1.Stages {
-			for w := range p1.Stages[j] {
-				if p1.Stages[j][w] != p2.Stages[j][w] {
-					t.Fatalf("n=%d: engines disagree at stage %d switch %d", n, j, w)
-				}
-			}
-		}
-	}
-}
-
 // TestBitSortErrors checks argument validation.
 func TestBitSortErrors(t *testing.T) {
 	if _, err := BitSortPlan(3, make([]bool, 3), 0); err == nil {

@@ -55,44 +55,33 @@ func (e Engine) EpsDivideInto(dst []tag.Value, tags []tag.Value, sc *Scratch) er
 	// Forward phase: per-node ε count; n1 (the real-1 count) is also a
 	// forward reduction (Section 7.2 counts it from bit b2). The leaf
 	// level writes every entry (scratch rows carry stale prior sweeps).
-	// Sweep bodies are capture-free parFor literals, so a sequential
-	// engine allocates nothing.
 	ne := sc.ne
 	n1s := sc.n1s
-	sc.err = nil
-	parFor(e, n, epsLeafArgs{ne[0], n1s[0], tags, sc},
-		func(a epsLeafArgs, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				eps, one := 0, 0
-				switch v := a.tags[i]; {
-				case v == tag.Eps:
-					eps = 1
-				case v == tag.V1:
-					one = 1
-				case v == tag.V0:
-				default:
-					a.sc.err = fmt.Errorf("rbn: ε-divide input %d carries %v; want 0, 1 or ε", i, v)
-				}
-				a.ne[i] = eps
-				a.n1s[i] = one
-			}
-		})
-	if sc.err != nil {
-		return sc.err
+	invalid := false
+	for i, v := range tags {
+		eps, one := 0, 0
+		switch {
+		case v == tag.Eps:
+			eps = 1
+		case v == tag.V1:
+			one = 1
+		case v == tag.V0:
+		default:
+			invalid = true
+		}
+		ne[0][i] = eps
+		n1s[0][i] = one
+	}
+	if invalid {
+		return epsInvalidInputError(tags)
 	}
 	for j := 1; j <= m; j++ {
-		parFor(e, n>>j, intSumArgs{ne[j-1], ne[j][:n>>j]},
-			func(a intSumArgs, lo, hi int) {
-				for b := lo; b < hi; b++ {
-					a.cur[b] = a.prev[2*b] + a.prev[2*b+1]
-				}
-			})
-		parFor(e, n>>j, intSumArgs{n1s[j-1], n1s[j][:n>>j]},
-			func(a intSumArgs, lo, hi int) {
-				for b := lo; b < hi; b++ {
-					a.cur[b] = a.prev[2*b] + a.prev[2*b+1]
-				}
-			})
+		nePrev, neCur := ne[j-1], ne[j][:n>>j]
+		n1Prev, n1Cur := n1s[j-1], n1s[j]
+		for b := range neCur {
+			neCur[b] = nePrev[2*b] + nePrev[2*b+1]
+			n1Cur[b] = n1Prev[2*b] + n1Prev[2*b+1]
+		}
 	}
 
 	n1 := n1s[m][0]
@@ -114,58 +103,30 @@ func (e Engine) EpsDivideInto(dst []tag.Value, tags []tag.Value, sc *Scratch) er
 	ne1[m][0] = n/2 - n1
 	ne0[m][0] = ne[m][0] - ne1[m][0]
 	for j := m; j >= 1; j-- {
-		args := epsBwdArgs{
-			ne0: ne0[j][:n>>j], ne0c: ne0[j-1],
-			ne1c: ne1[j-1], nec: ne[j-1],
+		nec, ne0c, ne1c := ne[j-1], ne0[j-1], ne1[j-1]
+		for b, e0 := range ne0[j][:n>>j] {
+			le := nec[2*b]   // εs in the left child
+			re := nec[2*b+1] // εs in the right child
+			l0 := min(e0, le)
+			ne0c[2*b] = l0
+			ne1c[2*b] = le - l0
+			ne0c[2*b+1] = e0 - l0
+			ne1c[2*b+1] = re - (e0 - l0)
 		}
-		parFor(e, n>>j, args, func(a epsBwdArgs, lo, hi int) {
-			for b := lo; b < hi; b++ {
-				e0 := a.ne0[b]
-				le := a.nec[2*b]   // εs in the left child
-				re := a.nec[2*b+1] // εs in the right child
-				l0 := min(e0, le)
-				a.ne0c[2*b] = l0
-				a.ne1c[2*b] = le - l0
-				a.ne0c[2*b+1] = e0 - l0
-				a.ne1c[2*b+1] = re - (e0 - l0)
-			}
-		})
 	}
 
-	parFor(e, n, epsRelabelArgs{dst, tags, ne0[0], ne1[0]},
-		func(a epsRelabelArgs, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := a.tags[i]
-				if v == tag.Eps {
-					switch {
-					case a.ne0[i] == 1:
-						v = tag.Eps0
-					case a.ne1[i] == 1:
-						v = tag.Eps1
-					}
-				}
-				a.dst[i] = v
+	for i, v := range tags {
+		if v == tag.Eps {
+			switch {
+			case ne0[0][i] == 1:
+				v = tag.Eps0
+			case ne1[0][i] == 1:
+				v = tag.Eps1
 			}
-		})
+		}
+		dst[i] = v
+	}
 	return nil
-}
-
-// Args structs for the capture-free parFor sweep bodies of
-// EpsDivideInto.
-type epsLeafArgs struct {
-	ne, n1s []int
-	tags    []tag.Value
-	sc      *Scratch
-}
-
-type epsBwdArgs struct {
-	ne0             []int // this level's dummy-0 budgets
-	ne0c, ne1c, nec []int // children's budgets and ε counts
-}
-
-type epsRelabelArgs struct {
-	dst, tags []tag.Value
-	ne0, ne1  []int
 }
 
 // QuasisortPlan computes the switch settings of an n x n RBN acting as

@@ -137,26 +137,3 @@ func TestQuasisortPreservesPayloads(t *testing.T) {
 		}
 	}
 }
-
-// TestEpsDivideParallelEngineAgrees checks engine equivalence for the
-// ε-dividing algorithm.
-func TestEpsDivideParallelEngineAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	par := Engine{Workers: 8}
-	for _, n := range []int{4, 512, 4096} {
-		tags := randomQuasiTags(rng, n)
-		a, err := EpsDivide(tags)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := par.EpsDivide(tags)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("n=%d: engines disagree at input %d: %v vs %v", n, i, a[i], b[i])
-			}
-		}
-	}
-}

@@ -42,10 +42,10 @@ import (
 //     tree. The backward Lemma 1–5 dispatch is unchanged per node; its
 //     compact sequences were already run-fills after the seq rewrite.
 //
-// The kernels run on the caller's goroutine regardless of Engine.Workers:
-// at 64 lanes per step a 1024-link sweep is a few hundred nanoseconds,
-// far below any useful parFor grain. Coarse parallelism stays where it
-// pays — across BSN subtrees in the planner's recursion.
+// Like the scalar sweeps, the kernels run on the caller's goroutine: at
+// 64 lanes per step a 1024-link sweep is a few hundred nanoseconds.
+// Coarse parallelism stays where it pays — across BSN subtrees in the
+// planner's recursion.
 
 // packedMinN is the smallest network the packed kernels accept: one full
 // 64-lane word per plane, which also guarantees every tree level at or
@@ -131,9 +131,8 @@ func packedBitSort(p *Plan, g []uint64, s int, sc *Scratch) error {
 	return nil
 }
 
-// epsInvalidInputError reproduces the scalar leaf sweep's validation
-// error: the sequential sweep overwrites sc.err as it scans, so the last
-// offending index wins.
+// epsInvalidInputError is the ε-divide leaf validation error of both
+// the scalar and the packed sweep: the last offending index wins.
 func epsInvalidInputError(tags []tag.Value) error {
 	idx, bad := -1, tag.Value(0)
 	for i, v := range tags {
@@ -211,9 +210,8 @@ func packedEpsDivide(dst []tag.Value, tags []tag.Value, sc *Scratch, g []uint64)
 	return nil
 }
 
-// scatterInvalidInputError reproduces the scalar scatter leaf sweep's
-// validation error (last offending index wins, as in the sequential
-// scalar sweep).
+// scatterInvalidInputError is the scatter leaf validation error of both
+// the scalar and the packed sweep: the last offending index wins.
 func scatterInvalidInputError(tags []tag.Value) error {
 	idx, bad := -1, tag.Value(0)
 	for i, v := range tags {

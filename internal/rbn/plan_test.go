@@ -126,33 +126,6 @@ func TestTraceRecordsEveryStage(t *testing.T) {
 	}
 }
 
-// TestEngineChunking exercises the parallel-for split across worker
-// counts, including degenerate ones.
-func TestEngineChunking(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7, 64} {
-		e := Engine{Workers: workers}
-		nItems := 10000
-		hits := make([]int32, nItems)
-		parFor(e, nItems, hits, func(hits []int32, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				hits[i]++
-			}
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: item %d visited %d times", workers, i, h)
-			}
-		}
-	}
-	// Tiny n falls back to a plain loop.
-	e := ParallelEngine()
-	sum := 0
-	parFor(e, 3, &sum, func(sum *int, lo, hi int) { *sum += hi - lo })
-	if sum != 3 {
-		t.Fatalf("tiny parFor covered %d items", sum)
-	}
-}
-
 // TestNewPlanPanics covers the constructor guard.
 func TestNewPlanPanics(t *testing.T) {
 	defer func() {

@@ -73,49 +73,39 @@ func (e Engine) ScatterPlanInto(p *Plan, tags []tag.Value, s int, sc *Scratch) e
 	// Forward phase (Table 4): leaves report (1, α) for α inputs,
 	// (1, ε) for idle inputs and (0, ε) for 0/1 (χ) inputs; internal
 	// nodes add same-type surpluses and cancel opposite-type ones.
-	//
-	// Every sweep body below is a capture-free literal fed through
-	// parFor with an explicit args struct, so a sequential engine runs
-	// them as direct calls with no closure allocation.
 	fwd := sc.fwd
-	sc.err = nil
-	parFor(e, n, scatterLeafArgs{fwd[0], tags, sc},
-		func(a scatterLeafArgs, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := a.tags[i]
-				switch {
-				case v == tag.Alpha:
-					a.dst[i] = scatterNode{1, tag.Alpha}
-				case v.IsEps():
-					a.dst[i] = scatterNode{1, tag.Eps}
-				case v.IsChi():
-					a.dst[i] = scatterNode{0, tag.Eps}
-				default:
-					a.sc.err = fmt.Errorf("rbn: input %d carries invalid tag %v", i, v)
-				}
-			}
-		})
-	if sc.err != nil {
-		return sc.err
+	invalid := false
+	for i, v := range tags {
+		switch {
+		case v == tag.Alpha:
+			fwd[0][i] = scatterNode{1, tag.Alpha}
+		case v.IsEps():
+			fwd[0][i] = scatterNode{1, tag.Eps}
+		case v.IsChi():
+			fwd[0][i] = scatterNode{0, tag.Eps}
+		default:
+			invalid = true
+		}
+	}
+	if invalid {
+		return scatterInvalidInputError(tags)
 	}
 	for j := 1; j <= m; j++ {
-		parFor(e, n>>j, scatterFwdArgs{fwd[j-1][:n>>(j-1)], fwd[j][:n>>j]},
-			func(a scatterFwdArgs, lo, hi int) {
-				for b := lo; b < hi; b++ {
-					c0, c1 := a.prev[2*b], a.prev[2*b+1]
-					switch {
-					case c0.typ == c1.typ:
-						a.cur[b] = scatterNode{c0.l + c1.l, c0.typ}
-					case c0.l >= c1.l:
-						a.cur[b] = scatterNode{c0.l - c1.l, c0.typ}
-					default:
-						a.cur[b] = scatterNode{c1.l - c0.l, c1.typ}
-					}
-					if a.cur[b].l == 0 {
-						a.cur[b].typ = tag.Eps
-					}
-				}
-			})
+		prev, cur := fwd[j-1], fwd[j][:n>>j]
+		for b := range cur {
+			c0, c1 := prev[2*b], prev[2*b+1]
+			switch {
+			case c0.typ == c1.typ:
+				cur[b] = scatterNode{c0.l + c1.l, c0.typ}
+			case c0.l >= c1.l:
+				cur[b] = scatterNode{c0.l - c1.l, c0.typ}
+			default:
+				cur[b] = scatterNode{c1.l - c0.l, c1.typ}
+			}
+			if cur[b].l == 0 {
+				cur[b].typ = tag.Eps
+			}
+		}
 	}
 
 	// Backward phase + switch-setting phase (Table 4).
@@ -123,91 +113,66 @@ func (e Engine) ScatterPlanInto(p *Plan, tags []tag.Value, s int, sc *Scratch) e
 	ss[m][0] = s
 	for j := m; j >= 1; j-- {
 		h := 1 << (j - 1) // switches per node; node size n' = 2h
-		args := scatterBwdArgs{
-			cur: ss[j][:n>>j], child: ss[j-1],
-			fprev: fwd[j-1], l: fwd[j],
-			col: p.Stages[j-1], h: h,
-		}
-		parFor(e, n>>j, args, func(a scatterBwdArgs, lo, hi int) {
-			h := a.h
-			for b := lo; b < hi; b++ {
-				sNode := a.cur[b]
-				lNode := a.l[b].l
-				c0, c1 := a.fprev[2*b], a.fprev[2*b+1]
-				base := b * h
-				if c0.typ == c1.typ {
-					// ε/α-addition: Lemma 1 with l = l0 + l1.
-					s1 := (sNode + c0.l) % h
-					bset := swbox.Setting(((sNode + c0.l) / h) % 2)
-					a.child[2*b] = sNode % h
-					a.child[2*b+1] = s1
-					for i := 0; i < h; i++ {
-						if i < s1 {
-							a.col[base+i] = bset
-						} else {
-							a.col[base+i] = bset.Opposite()
-						}
+		child, fprev, col := ss[j-1], fwd[j-1], p.Stages[j-1]
+		for b, sNode := range ss[j][:n>>j] {
+			lNode := fwd[j][b].l
+			c0, c1 := fprev[2*b], fprev[2*b+1]
+			base := b * h
+			if c0.typ == c1.typ {
+				// ε/α-addition: Lemma 1 with l = l0 + l1.
+				s1 := (sNode + c0.l) % h
+				bset := swbox.Setting(((sNode + c0.l) / h) % 2)
+				child[2*b] = sNode % h
+				child[2*b+1] = s1
+				for i := 0; i < h; i++ {
+					if i < s1 {
+						col[base+i] = bset
+					} else {
+						col[base+i] = bset.Opposite()
 					}
-					continue
 				}
-				// ε/α-elimination: Lemmas 2–5. The child with the
-				// smaller surplus has all of it cancelled by broadcast
-				// switches; the larger child's remaining run is routed
-				// unicast to form C_{s,l} at this node's outputs.
-				var s0, s1 int
-				var stmp, ltmp int
-				var ucast swbox.Setting
-				if c0.l >= c1.l {
-					s0 = sNode % h
-					s1 = (sNode + lNode) % h
-					stmp, ltmp = s1, c1.l
-					ucast = swbox.Parallel
-				} else {
-					s0 = (sNode + lNode) % h
-					s1 = sNode % h
-					stmp, ltmp = s0, c0.l
-					ucast = swbox.Cross
-				}
-				a.child[2*b] = s0
-				a.child[2*b+1] = s1
-				var bcast swbox.Setting
-				if c0.typ == tag.Alpha {
-					bcast = swbox.UpperBcast
-				} else {
-					bcast = swbox.LowerBcast
-				}
-				dst := a.col[base : base+h]
-				switch {
-				case sNode+lNode < h:
-					seq.CompactInto(dst, stmp, ltmp, ucast, bcast)
-				case sNode < h: // and sNode+lNode >= h
-					seq.TrinaryCompactInto(dst, stmp, ltmp, h-stmp-ltmp, ucast.Opposite(), bcast, ucast)
-				case sNode+lNode < 2*h: // and sNode >= h
-					seq.CompactInto(dst, stmp, ltmp, ucast.Opposite(), bcast)
-				default: // sNode >= h and sNode+lNode >= 2h
-					seq.TrinaryCompactInto(dst, stmp, ltmp, h-stmp-ltmp, ucast, bcast, ucast.Opposite())
-				}
+				continue
 			}
-		})
+			// ε/α-elimination: Lemmas 2–5. The child with the smaller
+			// surplus has all of it cancelled by broadcast switches; the
+			// larger child's remaining run is routed unicast to form
+			// C_{s,l} at this node's outputs.
+			var s0, s1 int
+			var stmp, ltmp int
+			var ucast swbox.Setting
+			if c0.l >= c1.l {
+				s0 = sNode % h
+				s1 = (sNode + lNode) % h
+				stmp, ltmp = s1, c1.l
+				ucast = swbox.Parallel
+			} else {
+				s0 = (sNode + lNode) % h
+				s1 = sNode % h
+				stmp, ltmp = s0, c0.l
+				ucast = swbox.Cross
+			}
+			child[2*b] = s0
+			child[2*b+1] = s1
+			var bcast swbox.Setting
+			if c0.typ == tag.Alpha {
+				bcast = swbox.UpperBcast
+			} else {
+				bcast = swbox.LowerBcast
+			}
+			dst := col[base : base+h]
+			switch {
+			case sNode+lNode < h:
+				seq.CompactInto(dst, stmp, ltmp, ucast, bcast)
+			case sNode < h: // and sNode+lNode >= h
+				seq.TrinaryCompactInto(dst, stmp, ltmp, h-stmp-ltmp, ucast.Opposite(), bcast, ucast)
+			case sNode+lNode < 2*h: // and sNode >= h
+				seq.CompactInto(dst, stmp, ltmp, ucast.Opposite(), bcast)
+			default: // sNode >= h and sNode+lNode >= 2h
+				seq.TrinaryCompactInto(dst, stmp, ltmp, h-stmp-ltmp, ucast, bcast, ucast.Opposite())
+			}
+		}
 	}
 	return nil
-}
-
-// Args structs for the capture-free parFor sweep bodies of
-// ScatterPlanInto.
-type scatterLeafArgs struct {
-	dst  []scatterNode
-	tags []tag.Value
-	sc   *Scratch
-}
-
-type scatterFwdArgs struct{ prev, cur []scatterNode }
-
-type scatterBwdArgs struct {
-	cur, child []int
-	fprev, l   []scatterNode
-	col        []swbox.Setting
-	h          int
 }
 
 // ScatterRoute composes ScatterPlan with tag routing and returns the plan

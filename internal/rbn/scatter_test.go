@@ -209,36 +209,6 @@ func randomBSNTags(rng *rand.Rand, n int) []tag.Value {
 	return tags
 }
 
-// TestScatterParallelEngineAgrees checks engine equivalence for the
-// scatter algorithm.
-func TestScatterParallelEngineAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	par := Engine{Workers: 8}
-	vals := []tag.Value{tag.V0, tag.V1, tag.Alpha, tag.Eps}
-	for _, n := range []int{2, 64, 2048} {
-		tags := make([]tag.Value, n)
-		for i := range tags {
-			tags[i] = vals[rng.Intn(4)]
-		}
-		s := rng.Intn(n)
-		p1, err := ScatterPlan(n, tags, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p2, err := par.ScatterPlan(n, tags, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range p1.Stages {
-			for w := range p1.Stages[j] {
-				if p1.Stages[j][w] != p2.Stages[j][w] {
-					t.Fatalf("n=%d: engines disagree at stage %d switch %d", n, j, w)
-				}
-			}
-		}
-	}
-}
-
 // TestScatterErrors checks argument validation.
 func TestScatterErrors(t *testing.T) {
 	if _, err := ScatterPlan(6, make([]tag.Value, 6), 0); err == nil {

@@ -32,9 +32,6 @@ type Scratch struct {
 	// γ bitmap fed to the word-parallel bit sort (one bit per link).
 	pv tag.PackedVec
 	pg []uint64
-	// err carries a leaf-sweep validation error out of the capture-free
-	// parFor bodies without boxing a per-call error variable.
-	err error
 }
 
 // NewScratch returns a scratch pre-sized for n x n sweeps.

@@ -92,9 +92,6 @@ type Config struct {
 	// AdmitWait is how long admission exerts backpressure on a full
 	// queue before shedding with ErrOverloaded (default 20ms).
 	AdmitWait time.Duration
-	// Replicas is the virtual-node count per shard on the placement
-	// ring (default 64).
-	Replicas int
 	// Group is the per-shard groupd.Config template: N, Engine, cache
 	// size, epoch period/threshold, workers, metrics registry, tracer.
 	Group groupd.Config
@@ -144,9 +141,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.AdmitWait <= 0 {
 		c.AdmitWait = 20 * time.Millisecond
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 64
 	}
 	if c.TicketCap <= 0 {
 		c.TicketCap = 65536
@@ -278,7 +272,7 @@ func New(cfg Config) (*Set, error) {
 		}
 		s.shards = append(s.shards, sh)
 	}
-	s.ring = buildRing(cfg.Shards, cfg.Replicas)
+	s.ring = buildRing(cfg.Shards, ringReplicas)
 	if cfg.Metrics != nil {
 		s.registerMetrics(cfg.Metrics)
 	}
@@ -384,7 +378,11 @@ func (s *Set) Recovery() []groupd.RecoveryStats {
 // shardLabel renders shard i's metric label pair.
 func shardLabel(i int) string { return fmt.Sprintf(`shard="%d"`, i) }
 
-// buildRing hashes Replicas virtual nodes per shard onto the ring.
+// ringReplicas is the virtual-node count per shard on the placement
+// ring.
+const ringReplicas = 64
+
+// buildRing hashes replicas virtual nodes per shard onto the ring.
 func buildRing(shards, replicas int) []ringPoint {
 	ring := make([]ringPoint, 0, shards*replicas)
 	for i := 0; i < shards; i++ {
