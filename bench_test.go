@@ -685,23 +685,6 @@ func BenchmarkRouteReuse(b *testing.B) {
 				}
 			}
 		})
-		// The "network" regime with observability on: the planner pool's
-		// always-on counters — the configuration brsmnd runs with
-		// -metrics (its default). The acceptance budget is within 5
-		// allocs/op and 5% wall-clock of the plain network regime.
-		b.Run(fmt.Sprintf("network-obs/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			nw, err := core.New(n, rbn.Engine{Workers: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := nw.Route(as[i%len(as)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("planner/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			p, err := brsmn.NewPlanner(n)

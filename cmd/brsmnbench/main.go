@@ -127,9 +127,10 @@ func runJSON(w io.Writer, exp string, n, trials int, seed int64, workers, groups
 
 // checkBaseline compares the warm single-threaded planner regime — the
 // steady-state replan cost everything downstream budgets around —
-// against a committed BENCH_route.json, failing on a >20% nsPerOp
-// regression. The baseline must describe the same network size; silently
-// comparing different n would make the guard meaningless.
+// against a committed BENCH_route.json, failing when the median of the
+// fresh runs is more than 20% above the baseline's nsPerOp. The
+// baseline must describe the same network size; silently comparing
+// different n would make the guard meaningless.
 func checkBaseline(rep *harness.RouteBenchReport, path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -158,8 +159,8 @@ func checkBaseline(rep *harness.RouteBenchReport, path string) error {
 		return fmt.Errorf("benchmark produced no planner regime")
 	}
 	ratio := float64(got.NsPerOp) / float64(want.NsPerOp)
-	fmt.Fprintf(os.Stderr, "brsmnbench: planner %d ns/op vs baseline %d ns/op (%.2fx)\n",
-		got.NsPerOp, want.NsPerOp, ratio)
+	fmt.Fprintf(os.Stderr, "brsmnbench: planner median %d ns/op (IQR %d) vs baseline %d ns/op (%.2fx)\n",
+		got.NsPerOp, got.NsIqr, want.NsPerOp, ratio)
 	if ratio > 1.2 {
 		return fmt.Errorf("planner regime regressed to %.2fx of baseline %s (limit 1.20x)", ratio, path)
 	}
@@ -225,9 +226,9 @@ func run(w io.Writer, exp string, n int, sizes []int, trials int, seed int64, gr
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "Routing hot-path regimes, n = %d, %d trials (GOMAXPROCS=%d)\n", rep.N, rep.Trials, rep.GoMaxProcs)
+		fmt.Fprintf(w, "Routing hot-path regimes, n = %d, %d trials (GOMAXPROCS=%d), median of runs\n", rep.N, rep.Trials, rep.GoMaxProcs)
 		for _, m := range rep.Regimes {
-			fmt.Fprintf(w, "  %-18s %12d ns/op %12d B/op %8d allocs/op\n", m.Name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
+			fmt.Fprintf(w, "  %-18s %12d ns/op (IQR %9d) %12d B/op %8d allocs/op\n", m.Name, m.NsPerOp, m.NsIqr, m.BytesPerOp, m.AllocsPerOp)
 		}
 		if baseline != "" {
 			return checkBaseline(rep, baseline)

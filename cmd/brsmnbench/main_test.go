@@ -55,7 +55,7 @@ func TestRunAll(t *testing.T) {
 	}
 }
 
-// TestRouteJSONRegimes checks the BENCH_route.json shape: all six
+// TestRouteJSONRegimes checks the BENCH_route.json shape: all five
 // regimes present, in order, with positive timings.
 func TestRouteJSONRegimes(t *testing.T) {
 	var b strings.Builder
@@ -66,7 +66,7 @@ func TestRouteJSONRegimes(t *testing.T) {
 	if err := json.Unmarshal([]byte(b.String()), &rep); err != nil {
 		t.Fatalf("not JSON: %v\n%s", err, b.String())
 	}
-	want := []string{"cold", "network", "planner", "planner-parallel", "scalar", "delta-churn"}
+	want := []string{"cold", "network", "planner", "planner-parallel", "delta-churn"}
 	if len(rep.Regimes) != len(want) {
 		t.Fatalf("%d regimes, want %d", len(rep.Regimes), len(want))
 	}

@@ -159,36 +159,3 @@ func TestRouteTracedMatchesUntraced(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestMetricsAllocBudget is the other half of the differential check:
-// the always-on pool counters must not add more than 5 allocs per warm
-// Network.Route (the BenchmarkRouteReuse "network" regime).
-func TestMetricsAllocBudget(t *testing.T) {
-	const n = 256
-	a := permAssignment(n)
-
-	base, err := New(n, rbn.Sequential)
-	if err != nil {
-		t.Fatal(err)
-	}
-	instrumented, err := New(n, rbn.Engine{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	route := func(nw *Network) float64 {
-		// Warm the pool out of the measurement.
-		if _, err := nw.Route(a); err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(10, func() {
-			if _, err := nw.Route(a); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	plain := route(base)
-	withObs := route(instrumented)
-	if withObs > plain+5 {
-		t.Fatalf("metrics accounting costs %.0f allocs/route over the %.0f baseline; budget is 5", withObs-plain, plain)
-	}
-}

@@ -135,9 +135,9 @@ func NewPlanner(n int, eng rbn.Engine) (*Planner, error) {
 		w = 1
 	}
 	// Forking the recursion past the schedulable parallelism only adds
-	// goroutine and channel overhead, which the fast packed kernels no
-	// longer amortize; cap the fork width at GOMAXPROCS (so a 4-worker
-	// planner on a 1-CPU box routes sequentially).
+	// goroutine and channel overhead that no concurrent sweep repays;
+	// cap the fork width at GOMAXPROCS (so a 4-worker planner on a 1-CPU
+	// box routes sequentially).
 	if mp := runtime.GOMAXPROCS(0); w > mp {
 		w = mp
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"time"
 
 	"brsmn/internal/benes"
@@ -20,11 +21,14 @@ import (
 // Measurement is one measured routing regime: mean wall-clock time and
 // mean heap allocation per routed assignment. Allocation figures come
 // from runtime.MemStats deltas around the whole trial loop, so they are
-// exact for single-goroutine regimes and close for parallel ones.
+// exact for single-goroutine regimes and close for parallel ones. A
+// regime measured over several runs (RouteBench) reports the median
+// run's nsPerOp and the interquartile range of the runs as nsIqr.
 type Measurement struct {
 	Name        string `json:"name"`
 	Workers     int    `json:"workers"`
 	NsPerOp     int64  `json:"nsPerOp"`
+	NsIqr       int64  `json:"nsIqr,omitempty"`
 	AllocsPerOp uint64 `json:"allocsPerOp"`
 	BytesPerOp  uint64 `json:"bytesPerOp"`
 }
@@ -56,6 +60,29 @@ func measure(name string, workers, trials int, f func() error) (Measurement, err
 	}, nil
 }
 
+// routeRuns is how many times RouteBench measures each regime, so a
+// single noisy run neither sets nor hides a regression.
+const routeRuns = 5
+
+// measureRuns measures a regime routeRuns times and reports the median
+// nsPerOp with the interquartile range of the runs (the second and
+// fourth of five sorted values); allocation figures are the median
+// run's.
+func measureRuns(name string, workers, trials int, f func() error) (Measurement, error) {
+	runs := make([]Measurement, routeRuns)
+	for r := range runs {
+		m, err := measure(name, workers, trials, f)
+		if err != nil {
+			return Measurement{}, err
+		}
+		runs[r] = m
+	}
+	sort.Slice(runs, func(a, b int) bool { return runs[a].NsPerOp < runs[b].NsPerOp })
+	med := runs[routeRuns/2]
+	med.NsIqr = runs[3*routeRuns/4].NsPerOp - runs[routeRuns/4].NsPerOp
+	return med, nil
+}
+
 // RouteBenchReport is the machine-readable routing benchmark behind
 // BENCH_route.json: the planning pipeline's allocation/latency regimes
 // on one batch of random assignments.
@@ -71,11 +98,10 @@ type RouteBenchReport struct {
 
 // RouteBench measures the routing hot path across its regimes: a cold
 // network construction per routing, the pooled concurrency-safe
-// Network.Route, a reused sequential Planner (packed word-parallel
-// kernels), the reused planner with the parallel sub-network recursion
-// on `workers` workers, the scalar reference kernels on the same
-// reused planner, and single-membership plan patching against a dense
-// retained route ("delta-churn").
+// Network.Route, a reused sequential Planner, the reused planner with
+// the parallel sub-network recursion on `workers` workers, and
+// single-membership plan patching against a dense retained route
+// ("delta-churn"). Each regime is measured routeRuns times.
 func RouteBench(n, trials int, seed int64, workers int) (*RouteBenchReport, error) {
 	if trials < 1 {
 		trials = 1
@@ -100,7 +126,7 @@ func RouteBench(n, trials int, seed int64, workers int) (*RouteBenchReport, erro
 	}
 
 	i := 0
-	cold, err := measure("cold", 1, trials, func() error {
+	cold, err := measureRuns("cold", 1, trials, func() error {
 		nw, err := core.New(n, rbn.Sequential)
 		if err != nil {
 			return err
@@ -119,7 +145,7 @@ func RouteBench(n, trials int, seed int64, workers int) (*RouteBenchReport, erro
 		return nil, err
 	}
 	i = 0
-	network, err := measure("network", 1, trials, func() error {
+	network, err := measureRuns("network", 1, trials, func() error {
 		_, err := nw.Route(next(i))
 		i++
 		return err
@@ -134,7 +160,7 @@ func RouteBench(n, trials int, seed int64, workers int) (*RouteBenchReport, erro
 		return nil, err
 	}
 	i = 0
-	planner, err := measure("planner", 1, trials, func() error {
+	planner, err := measureRuns("planner", 1, trials, func() error {
 		_, err := pl.Route(next(i))
 		i++
 		return err
@@ -149,7 +175,7 @@ func RouteBench(n, trials int, seed int64, workers int) (*RouteBenchReport, erro
 		return nil, err
 	}
 	i = 0
-	par, err := measure("planner-parallel", workers, trials, func() error {
+	par, err := measureRuns("planner-parallel", workers, trials, func() error {
 		_, err := plp.Route(next(i))
 		i++
 		return err
@@ -158,21 +184,6 @@ func RouteBench(n, trials int, seed int64, workers int) (*RouteBenchReport, erro
 		return nil, err
 	}
 	rep.Regimes = append(rep.Regimes, par)
-
-	pls, err := core.NewPlanner(n, rbn.Engine{Workers: 1, Scalar: true})
-	if err != nil {
-		return nil, err
-	}
-	i = 0
-	scalar, err := measure("scalar", 1, trials, func() error {
-		_, err := pls.Route(next(i))
-		i++
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Regimes = append(rep.Regimes, scalar)
 
 	// Delta-churn: one output toggling in and out of a dense n-1 member
 	// group. The toggled output's sibling stays a member, so every op is
@@ -194,7 +205,7 @@ func RouteBench(n, trials int, seed int64, workers int) (*RouteBenchReport, erro
 		return nil, err
 	}
 	join := false // output 2 starts as a member: the first op leaves
-	churn, err := measure("delta-churn", 1, trials, func() error {
+	churn, err := measureRuns("delta-churn", 1, trials, func() error {
 		_, _, err := pld.RoutePatch(0, 2, join)
 		join = !join
 		return err

@@ -50,10 +50,6 @@ func (e Engine) BitSortPlanInto(p *Plan, gamma []bool, s int, sc *Scratch) error
 		sc = &Scratch{}
 	}
 	sc.ensure(n)
-	if e.usePacked(n) {
-		packGammaBits(sc.pg[:n>>6], gamma)
-		return packedBitSort(p, sc.pg[:n>>6], s, sc)
-	}
 	m := p.M
 
 	// Forward phase: ls[j][b] is l, the γ count of the level-j node

@@ -47,9 +47,6 @@ func (e Engine) EpsDivideInto(dst []tag.Value, tags []tag.Value, sc *Scratch) er
 		sc = &Scratch{}
 	}
 	sc.ensure(n)
-	if e.usePacked(n) {
-		return packedEpsDivide(dst, tags, sc, nil)
-	}
 	m := shuffle.Log2(n)
 
 	// Forward phase: per-node ε count; n1 (the real-1 count) is also a
@@ -129,6 +126,18 @@ func (e Engine) EpsDivideInto(dst []tag.Value, tags []tag.Value, sc *Scratch) er
 	return nil
 }
 
+// epsInvalidInputError is the ε-divide leaf validation error: the last
+// offending index wins.
+func epsInvalidInputError(tags []tag.Value) error {
+	idx, bad := -1, tag.Value(0)
+	for i, v := range tags {
+		if v != tag.V0 && v != tag.V1 && v != tag.Eps {
+			idx, bad = i, v
+		}
+	}
+	return fmt.Errorf("rbn: ε-divide input %d carries %v; want 0, 1 or ε", idx, bad)
+}
+
 // QuasisortPlan computes the switch settings of an n x n RBN acting as
 // the quasisorting network of a binary splitting network (Section 5.2):
 // after ε-dividing, the (real and dummy) sort bits are bit-sorted with
@@ -167,16 +176,6 @@ func (e Engine) QuasisortPlanInto(p *Plan, divided []tag.Value, tags []tag.Value
 		sc = &Scratch{}
 	}
 	sc.ensure(n)
-	if e.usePacked(n) {
-		// Fused packed path: the relabel pass emits the sort-bit bitmap
-		// directly, skipping the byte-level γ extraction entirely.
-		g := sc.pg[:n>>6]
-		if err := packedEpsDivide(divided, tags, sc, g); err != nil {
-			return err
-		}
-		// C_{n/2, n/2; 0, 1} = 0^(n/2) 1^(n/2): ascending bit sort.
-		return packedBitSort(p, g, n/2, sc)
-	}
 	if err := e.EpsDivideInto(divided, tags, sc); err != nil {
 		return err
 	}

@@ -65,9 +65,6 @@ func (e Engine) ScatterPlanInto(p *Plan, tags []tag.Value, s int, sc *Scratch) e
 		sc = &Scratch{}
 	}
 	sc.ensure(n)
-	if e.usePacked(n) {
-		return packedScatter(p, tags, s, sc)
-	}
 	m := p.M
 
 	// Forward phase (Table 4): leaves report (1, α) for α inputs,
@@ -173,6 +170,18 @@ func (e Engine) ScatterPlanInto(p *Plan, tags []tag.Value, s int, sc *Scratch) e
 		}
 	}
 	return nil
+}
+
+// scatterInvalidInputError is the scatter leaf validation error: the
+// last offending index wins.
+func scatterInvalidInputError(tags []tag.Value) error {
+	idx, bad := -1, tag.Value(0)
+	for i, v := range tags {
+		if !v.Valid() {
+			idx, bad = i, v
+		}
+	}
+	return fmt.Errorf("rbn: input %d carries invalid tag %v", idx, bad)
 }
 
 // ScatterRoute composes ScatterPlan with tag routing and returns the plan

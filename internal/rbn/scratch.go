@@ -1,37 +1,26 @@
 package rbn
 
-import (
-	"brsmn/internal/shuffle"
-	"brsmn/internal/tag"
-)
+import "brsmn/internal/shuffle"
 
 // Scratch holds the per-sweep working state of the three setting
 // algorithms — the forward/backward tree arrays of ScatterPlan,
-// BitSortPlan and EpsDivide plus the ε-divided tag and sort-bit vectors
-// of QuasisortPlan — sized once and recycled across calls, so a steady
-// planning loop performs zero per-plan allocations.
+// BitSortPlan and EpsDivide plus the sort-bit vector of QuasisortPlan —
+// sized once and recycled across calls, so a steady planning loop
+// performs zero per-plan allocations.
 //
 // A Scratch grows on demand: computing a plan for n' <= n reuses the
 // prefixes of the level arrays. The zero value is ready to use (it
 // allocates on first use); a Scratch is not safe for concurrent use.
 type Scratch struct {
-	n   int
-	fwd [][]scatterNode // scatter forward phase, levels 0..m
-	ss  [][]int         // backward starting positions (scatter and bit sort)
-	ls  [][]int         // bit-sort forward γ counts
-	ne  [][]int         // ε-divide: per-node ε counts
-	n1s [][]int         // ε-divide: per-node real-1 counts
-	ne0 [][]int         // ε-divide: dummy-0 budgets
-	ne1 [][]int         // ε-divide: dummy-1 budgets
-	// divided and gamma back QuasisortPlanInto's ε-divided tag vector
-	// and its sort bits; divided is what the Into call returns, valid
-	// until the scratch's next use.
-	divided []tag.Value
-	gamma   []bool
-	// pv and pg back the packed kernels: the input tag bitplanes and the
-	// γ bitmap fed to the word-parallel bit sort (one bit per link).
-	pv tag.PackedVec
-	pg []uint64
+	n     int
+	fwd   [][]scatterNode // scatter forward phase, levels 0..m
+	ss    [][]int         // backward starting positions (scatter and bit sort)
+	ls    [][]int         // bit-sort forward γ counts
+	ne    [][]int         // ε-divide: per-node ε counts
+	n1s   [][]int         // ε-divide: per-node real-1 counts
+	ne0   [][]int         // ε-divide: dummy-0 budgets
+	ne1   [][]int         // ε-divide: dummy-1 budgets
+	gamma []bool          // QuasisortPlanInto's sort bits of the ε-divided vector
 }
 
 // NewScratch returns a scratch pre-sized for n x n sweeps.
@@ -63,8 +52,6 @@ func (s *Scratch) ensure(n int) {
 		s.ne0[j] = make([]int, n>>j)
 		s.ne1[j] = make([]int, n>>j)
 	}
-	s.divided = make([]tag.Value, n)
 	s.gamma = make([]bool, n)
-	s.pg = make([]uint64, tag.Words(n))
 	s.n = n
 }
