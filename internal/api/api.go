@@ -57,6 +57,8 @@ type Server struct {
 	mux      *http.ServeMux
 	// planTail closes every group plan reply; see appendPlanData.
 	planTail []byte
+	// backendsReply is the whole GET /v1/backends reply.
+	backendsReply []byte
 }
 
 // NewServer returns a handler-ready server using the given engine for
@@ -66,7 +68,8 @@ type Server struct {
 // it is empty the fault endpoints answer 503. Options wire the optional
 // observability and readiness surfaces of obs.go and ready.go.
 func NewServer(eng rbn.Engine, set *shard.Set, monitors []*faultd.Monitor, opts ...Option) *Server {
-	s := &Server{eng: eng, set: set, monitors: monitors, mux: http.NewServeMux(), planTail: planTail(set.N())}
+	s := &Server{eng: eng, set: set, monitors: monitors, mux: http.NewServeMux(),
+		planTail: planTail(set.N()), backendsReply: backendsReply(set.N())}
 	for _, opt := range opts {
 		opt(s)
 	}

@@ -325,19 +325,25 @@ type BackendsResponse struct {
 	Backends []BackendInfo `json:"backends"`
 }
 
+// backendsReply renders the whole GET /v1/backends reply, which depends
+// only on the serving size: every tier's name, whether its plans accept
+// membership patches (only the full BRSMN's carry the routing-tag trees
+// a patch edits) and its closed-form cost row. The bytes are what
+// writeData would encode for the same response.
+func backendsReply(n int) []byte {
+	resp := BackendsResponse{N: n, Backends: []BackendInfo{
+		{Name: backend.TierBRSMN.String(), Patch: true, Cost: cost.BRSMN(n)},
+		{Name: backend.TierFeedback.String(), Cost: cost.Feedback(n)},
+		{Name: backend.TierPermNet.String(), Cost: cost.PermNet(n)},
+	}}
+	b, _ := json.Marshal(Envelope{Data: resp}) // strings, bools and ints always marshal
+	return append(b, '\n')
+}
+
 func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
-	n := s.set.N()
-	bs, err := backend.All(n, s.eng)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	resp := BackendsResponse{N: n}
-	for _, t := range backend.Tiers() {
-		b := bs[t]
-		resp.Backends = append(resp.Backends, BackendInfo{Name: b.Name(), Patch: b.CanPatch(), Cost: b.Cost()})
-	}
-	writeData(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(s.backendsReply) // a failed write means the client is gone
 }
 
 func (s *Server) handleEpochGet(w http.ResponseWriter, r *http.Request) {

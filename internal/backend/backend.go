@@ -84,13 +84,8 @@ type Route struct {
 type Backend interface {
 	// Name returns the tier's wire name.
 	Name() string
-	// Tier returns the concrete tier the backend implements.
-	Tier() Tier
 	// Route realizes a multicast assignment, verifying deliveries.
 	Route(a mcast.Assignment) (*Route, error)
-	// CanPatch reports whether cached plans from this backend accept
-	// O(log n) membership patches (core.RoutePatch) instead of replans.
-	CanPatch() bool
 	// Cost returns the fabric's closed-form hardware/latency row at the
 	// backend's network size.
 	Cost() cost.Row

@@ -27,13 +27,6 @@ func NewBRSMN(n int, eng rbn.Engine) (*BRSMN, error) {
 // Name implements Backend.
 func (b *BRSMN) Name() string { return TierBRSMN.String() }
 
-// Tier implements Backend.
-func (b *BRSMN) Tier() Tier { return TierBRSMN }
-
-// CanPatch implements Backend: core plans carry the packed routing-tag
-// trees RoutePatch edits in place.
-func (b *BRSMN) CanPatch() bool { return true }
-
 // Cost implements Backend.
 func (b *BRSMN) Cost() cost.Row { return cost.BRSMN(b.nw.N()) }
 

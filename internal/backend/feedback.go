@@ -32,12 +32,6 @@ func NewFeedback(n int, eng rbn.Engine) (*Feedback, error) {
 // Name implements Backend.
 func (b *Feedback) Name() string { return TierFeedback.String() }
 
-// Tier implements Backend.
-func (b *Feedback) Tier() Tier { return TierFeedback }
-
-// CanPatch implements Backend.
-func (b *Feedback) CanPatch() bool { return false }
-
 // Cost implements Backend.
 func (b *Feedback) Cost() cost.Row { return cost.Feedback(b.n) }
 

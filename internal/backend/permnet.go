@@ -36,12 +36,6 @@ func NewPermNet(n int, eng rbn.Engine) (*PermNet, error) {
 // Name implements Backend.
 func (b *PermNet) Name() string { return TierPermNet.String() }
 
-// Tier implements Backend.
-func (b *PermNet) Tier() Tier { return TierPermNet }
-
-// CanPatch implements Backend.
-func (b *PermNet) CanPatch() bool { return false }
-
 // Cost implements Backend: the row of one unicast pass.
 func (b *PermNet) Cost() cost.Row { return cost.PermNet(b.n) }
 

@@ -55,7 +55,9 @@ var (
 	ErrClosed = errors.New("cluster: node closed")
 )
 
-// Config parameterizes a Node.
+// Config parameterizes a Node. The node ring's 64 virtual nodes per
+// member (the shard ring's count), the down threshold (downAfter failed
+// polls) and the migrate batch size (migrateBatch) are fixed.
 type Config struct {
 	// Self is this node's ID; it must appear in Peers.
 	Self string
@@ -69,9 +71,6 @@ type Config struct {
 	// Handler is the local API handler requests are served by when this
 	// node owns them (or the hop guard forces local service).
 	Handler http.Handler
-	// Replicas is the virtual-node count per node on the placement ring
-	// (default 64, the shard ring's default).
-	Replicas int
 	// PollEvery is the membership poll cadence (default 500ms).
 	PollEvery time.Duration
 	// ForwardTimeout bounds each proxied attempt (default 5s).
@@ -84,12 +83,6 @@ type Config struct {
 	// forwarded MaxHops times is served locally (default 2: origin ->
 	// believed owner -> actual owner after a migration).
 	MaxHops int
-	// DownAfter is how many consecutive poll failures mark a peer down
-	// (default 2).
-	DownAfter int
-	// MigrateBatch caps groups per /v1/cluster/migrate request
-	// (default 64).
-	MigrateBatch int
 	// Metrics, when non-nil, receives the cluster series of metrics.go.
 	Metrics *obs.Registry
 	// Logf, when non-nil, receives operational log lines.
@@ -97,9 +90,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.Replicas <= 0 {
-		c.Replicas = 64
-	}
 	if c.PollEvery <= 0 {
 		c.PollEvery = 500 * time.Millisecond
 	}
@@ -114,13 +104,10 @@ func (c *Config) applyDefaults() {
 	if c.MaxHops <= 0 {
 		c.MaxHops = 2
 	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 2
-	}
-	if c.MigrateBatch <= 0 {
-		c.MigrateBatch = 64
-	}
 }
+
+// downAfter is how many consecutive poll failures mark a peer down.
+const downAfter = 2
 
 // peerState is a peer's observed membership state.
 type peerState int32
@@ -379,7 +366,7 @@ func (n *Node) pollPeer(p *peer) peerState {
 	st, err := n.fetchNodeStatus(p)
 	if err != nil {
 		fails := p.fails.Add(1)
-		if int(fails) >= n.cfg.DownAfter {
+		if fails >= downAfter {
 			return peerDown
 		}
 		// Below the threshold: keep the previous state (hysteresis).

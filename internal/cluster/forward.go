@@ -82,7 +82,7 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request) {
 
 // dispatch serves or forwards one group-scoped request.
 func (n *Node) dispatch(w http.ResponseWriter, r *http.Request, id string) {
-	owner := n.ring.Load().owner(id)
+	owner, _ := n.ring.Load().Owner(id)
 	if owner == nil || owner == n.self {
 		n.serveLocal(w, r)
 		return

@@ -25,9 +25,13 @@ import (
 	"brsmn/internal/groupd"
 )
 
-// maxMigrateRetries bounds per-group re-export attempts when writes
-// keep landing mid-migration.
-const maxMigrateRetries = 8
+const (
+	// maxMigrateRetries bounds per-group re-export attempts when writes
+	// keep landing mid-migration.
+	maxMigrateRetries = 8
+	// migrateBatch caps groups per /v1/cluster/migrate request.
+	migrateBatch = 64
+)
 
 // Drain starts draining this node: it leaves the placement ring and a
 // background sweep pushes every group it holds to the new ring owners.
@@ -69,7 +73,7 @@ func (n *Node) sweep(reason string) error {
 	// Partition by gaining node so each target gets few, large batches.
 	byTarget := map[*peer][]MigrateItem{}
 	for i, g := range groups {
-		owner := ring.owner(g.ID)
+		owner, _ := ring.Owner(g.ID)
 		if owner == nil || owner == n.self {
 			continue
 		}
@@ -81,8 +85,8 @@ func (n *Node) sweep(reason string) error {
 	var moved int
 	var firstErr error
 	for target, items := range byTarget {
-		for start := 0; start < len(items); start += n.cfg.MigrateBatch {
-			end := min(start+n.cfg.MigrateBatch, len(items))
+		for start := 0; start < len(items); start += migrateBatch {
+			end := min(start+migrateBatch, len(items))
 			m, err := n.migrateBatch(target, items[start:end])
 			moved += m
 			if err != nil && firstErr == nil {

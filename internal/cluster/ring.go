@@ -1,86 +1,39 @@
 package cluster
 
-// The node placement ring. Same construction as internal/shard's
-// per-process ring — every serving node contributes Replicas virtual
-// points at PlaceHash("nodeID#i"), a group ID lands on the first point
-// clockwise from PlaceHash(id) — and the same hash on both levels, so
-// placement is deterministic across every node that shares the
-// membership view. Rings are immutable once built; Node swaps a fresh
-// one in atomically on view changes, so the forwarding hot path reads
+// The node placement ring: internal/shard's Ring over the serving
+// peers, each contributing virtual nodes labeled "nodeID#i", so a group
+// ID hashes the same way at both tiers and every node that shares the
+// membership view computes the same owner. Node swaps a fresh ring in
+// atomically on view changes, so the forwarding hot path reads
 // lock-free.
 
 import (
 	"fmt"
-	"sort"
 
 	"brsmn/internal/shard"
 )
 
 // nodeRing maps group IDs to owning nodes via consistent hashing.
-type nodeRing struct {
-	points []ringPoint // sorted by hash
-	nodes  []*peer     // the serving members this ring was built from
-}
+type nodeRing = shard.Ring[*peer]
 
-type ringPoint struct {
-	hash uint64
-	node *peer
-}
-
-// buildRing constructs the ring over the given members with replicas
-// virtual points each. An empty member list yields a ring whose owner
-// lookups return nil (callers fall back to local service).
-func buildRing(members []*peer, replicas int) *nodeRing {
-	r := &nodeRing{nodes: members}
-	if len(members) == 0 {
-		return r
-	}
-	r.points = make([]ringPoint, 0, len(members)*replicas)
-	for _, p := range members {
-		for i := 0; i < replicas; i++ {
-			r.points = append(r.points, ringPoint{
-				hash: shard.PlaceHash(fmt.Sprintf("%s#%d", p.id, i)),
-				node: p,
-			})
-		}
-	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
-		}
-		// Deterministic tiebreak on the (astronomically rare) collision
-		// so every node sorts identically.
-		return r.points[i].node.id < r.points[j].node.id
-	})
-	return r
-}
-
-// owner returns the node owning the given group ID, or nil on an empty
-// ring.
-func (r *nodeRing) owner(id string) *peer {
-	if len(r.points) == 0 {
-		return nil
-	}
-	h := shard.PlaceHash(id)
-	// First point with hash >= h, wrapping.
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].node
+// buildRing constructs the ring over the given members, in ID order
+// (the ring's tie-break). An empty member list yields a ring whose
+// owner lookups fail (callers fall back to local service).
+func buildRing(members []*peer) *nodeRing {
+	return shard.NewRing(members, func(p *peer, i int) string { return fmt.Sprintf("%s#%d", p.id, i) })
 }
 
 // rebuildRing recomputes the ring from the current serving view.
 func (n *Node) rebuildRing() {
 	n.ringMu.Lock()
 	defer n.ringMu.Unlock()
-	n.ring.Store(buildRing(n.servingPeers(), n.cfg.Replicas))
+	n.ring.Store(buildRing(n.servingPeers()))
 }
 
 // Owner reports which node the ring places a group ID on. Exposed for
 // tests and the placement-stability property suite.
 func (n *Node) Owner(id string) string {
-	if p := n.ring.Load().owner(id); p != nil {
+	if p, ok := n.ring.Load().Owner(id); ok {
 		return p.id
 	}
 	return n.cfg.Self

@@ -19,7 +19,8 @@ func testPeers(n int) []*peer {
 func owners(r *nodeRing, ids []string) map[string]string {
 	out := make(map[string]string, len(ids))
 	for _, id := range ids {
-		out[id] = r.owner(id).id
+		p, _ := r.Owner(id)
+		out[id] = p.id
 	}
 	return out
 }
@@ -37,13 +38,12 @@ func groupIDs(count int) []string {
 // 1/(N+1)) of group IDs — the consistent-hashing contract cluster
 // drain and join rely on to keep migration traffic proportional.
 func TestRingStability(t *testing.T) {
-	const replicas = 64
 	const groups = 20000
 	ids := groupIDs(groups)
 	for _, n := range []int{2, 3, 5, 8} {
 		peers := testPeers(n + 1)
-		small := buildRing(peers[:n], replicas)
-		big := buildRing(peers, replicas)
+		small := buildRing(peers[:n])
+		big := buildRing(peers)
 		before := owners(small, ids)
 		after := owners(big, ids)
 
@@ -76,11 +76,10 @@ func TestRingStability(t *testing.T) {
 // TestRingDrainMovesOnlyVictims checks the reverse transition: removing
 // one node re-homes exactly the groups it owned and nothing else.
 func TestRingDrainMovesOnlyVictims(t *testing.T) {
-	const replicas = 64
 	ids := groupIDs(10000)
 	peers := testPeers(4)
-	full := buildRing(peers, replicas)
-	drained := buildRing(append(append([]*peer{}, peers[:2]...), peers[3]), replicas) // drop n2
+	full := buildRing(peers)
+	drained := buildRing(append(append([]*peer{}, peers[:2]...), peers[3])) // drop n2
 	before := owners(full, ids)
 	after := owners(drained, ids)
 	for id, owner := range before {
@@ -101,19 +100,21 @@ func TestRingDrainMovesOnlyVictims(t *testing.T) {
 // ownership locally.
 func TestRingDeterminism(t *testing.T) {
 	ids := groupIDs(5000)
-	a := buildRing(testPeers(5), 64)
-	b := buildRing(testPeers(5), 64)
+	a := buildRing(testPeers(5))
+	b := buildRing(testPeers(5))
 	for _, id := range ids {
-		if a.owner(id).id != b.owner(id).id {
-			t.Fatalf("rings disagree on %s: %s vs %s", id, a.owner(id).id, b.owner(id).id)
+		pa, _ := a.Owner(id)
+		pb, _ := b.Owner(id)
+		if pa.id != pb.id {
+			t.Fatalf("rings disagree on %s: %s vs %s", id, pa.id, pb.id)
 		}
 	}
 }
 
-// TestRingEmpty checks owner lookups on an empty ring return nil
+// TestRingEmpty checks owner lookups on an empty ring report no owner
 // (callers fall back to local service).
 func TestRingEmpty(t *testing.T) {
-	if buildRing(nil, 64).owner("g") != nil {
+	if _, ok := buildRing(nil).Owner("g"); ok {
 		t.Fatal("empty ring returned an owner")
 	}
 }

@@ -15,6 +15,7 @@ package groupd
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"brsmn"
 	"brsmn/internal/store"
@@ -95,10 +96,13 @@ func (m *Manager) Install(g store.GroupState, plan *store.PlanState) error {
 		oldGen := old.gen
 		if gen <= oldGen {
 			// Local copy is at least as fresh; keep it. Still seed the
-			// plan when the generations agree and we have nothing cached.
+			// plan when the copies agree: equal generations can hold
+			// different members when two copies diverged, and the
+			// other copy's plan would then route the wrong set.
+			same := gen == oldGen && old.group.Source() == g.Source && slices.Equal(old.group.Members(), g.Members)
 			old.mu.Unlock()
 			m.regMu.Unlock()
-			if plan != nil && gen == oldGen {
+			if plan != nil && same {
 				m.installPlan(g.ID, gen, plan)
 			}
 			return nil

@@ -5,19 +5,12 @@ package shard
 // *processes* with the same snapshot vocabulary the durable store uses;
 // these methods fan the per-group export/install/gen-guarded-delete
 // calls onto the owning local shard. They bypass the admission queues:
-// migrations are rare, placement-read-locked operations, exactly like
-// the quarantine rebalance path.
+// migrations are rare, placement-read-locked operations. Moves between
+// local shards (Set.rebalanceLocked) use the same per-manager triple.
 
 import (
 	"brsmn/internal/store"
 )
-
-// PlaceHash is the placement hash shared by the shard ring and the
-// cluster node ring: allocation-free FNV-1a with a splitmix64-style
-// avalanche (see placeHash for why the avalanche is load-bearing).
-// Exported so both rings place a group ID identically and deliberately
-// unseeded so placement survives restarts.
-func PlaceHash(s string) uint64 { return placeHash(s) }
 
 // Export freezes every group on every shard into snapshot form with its
 // warm current-generation plan when cached (nil otherwise); the slices

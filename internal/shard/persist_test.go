@@ -99,26 +99,73 @@ func TestSetReshardRecovery(t *testing.T) {
 	ms := newMemStores()
 	s1 := newDurableSet(t, Config{Shards: 2, NewStore: ms.factory})
 	ids := seedGroups(t, s1, 12)
+	for _, id := range ids[:6] {
+		if _, err := s1.Join(context.Background(), id, 15); err != nil {
+			t.Fatal(err)
+		}
+	}
 	want := s1.List()
 
 	s2 := newDurableSet(t, Config{Shards: 4, NewStore: ms.factory})
-	got := s2.List()
-	if len(got) != len(want) {
-		t.Fatalf("reshard recovered %d groups, want %d", len(got), len(want))
+	if got := s2.List(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("groups after reshard:\n got %+v\nwant %+v", got, want)
 	}
-	for i := range want {
-		// Migration re-creates moved groups at gen 1; identity fields
-		// must survive exactly.
-		if got[i].ID != want[i].ID || got[i].Source != want[i].Source ||
-			!reflect.DeepEqual(got[i].Members, want[i].Members) {
-			t.Fatalf("group %d after reshard:\n got %+v\nwant %+v", i, got[i], want[i])
-		}
-	}
+	placementInvariant(t, s2, len(want))
 	for _, id := range ids {
 		if _, err := s2.Plan(context.Background(), id); err != nil {
 			t.Fatalf("plan %q after reshard: %v", id, err)
 		}
 	}
+}
+
+// TestSetBootResolvesDuplicateGroup models a crash between a
+// migration's install and its delete, which leaves a group in two shard
+// stores. The next boot keeps one copy, the higher generation, on the
+// group's ring owner.
+func TestSetBootResolvesDuplicateGroup(t *testing.T) {
+	ms := newMemStores()
+	s1 := newDurableSet(t, Config{Shards: 2, NewStore: ms.factory})
+	ctx := context.Background()
+	// The stray copy of "fresh" is newer than its owner's; the owner's
+	// copy of "stale" is newer than the stray.
+	want := map[string]groupd.GroupInfo{}
+	for _, id := range []string{"fresh", "stale"} {
+		if _, err := s1.Create(ctx, id, 0, []int{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+		owner, _ := s1.locate(id)
+		stray, err := s1.Manager(1 - owner.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := stray.Create(id, 0, []int{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+		newer := stray
+		if id == "stale" {
+			newer = owner.gm
+		}
+		if _, err := newer.Join(id, 7); err != nil {
+			t.Fatal(err)
+		}
+		if want[id], err = newer.Get(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// No Close: the next boot replays both logs, as after a crash.
+
+	s2 := newDurableSet(t, Config{Shards: 2, NewStore: ms.factory})
+	defer s2.Close()
+	for id, w := range want {
+		got, err := s2.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Fatalf("%s after boot:\n got %+v\nwant %+v", id, got, w)
+		}
+	}
+	placementInvariant(t, s2, len(want))
 }
 
 // TestSetGracefulRestartOnDisk is the full lifecycle on FileStores:

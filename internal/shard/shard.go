@@ -12,7 +12,8 @@
 // Three cooperating mechanisms:
 //
 //   - placement: groups map to shards by consistent hashing on the
-//     group ID (ring of virtual nodes, first live shard clockwise).
+//     group ID over a Ring (ring.go) of the live shards' virtual nodes;
+//     the cluster tier places groups on nodes with the same Ring.
 //     Hashing the ID — not the source port — keeps a group's home
 //     stable across membership churn and spreads the many groups a hot
 //     source owns over every plane; see DESIGN.md.
@@ -25,12 +26,15 @@
 //     pooled, the reply channel is reused, and placement is an inline
 //     FNV hash plus a binary search.
 //   - rebalance: quarantining a shard (manually, or automatically when
-//     its fault policy reports unhealthy) removes it from the ring and
-//     migrates its groups to their new ring successors; reinstating it
-//     migrates them back. Placement and migration serialize on one
-//     RWMutex whose read side is the enqueue step of admission; a
-//     rebalance takes the write side (no new enqueues) and then flushes
-//     every queue with a barrier task, so it observes a quiesced set.
+//     its fault policy reports unhealthy) rebuilds the ring without it
+//     and migrates its groups to their new ring owners; reinstating it
+//     migrates them back. A group moves the way cluster drain moves it
+//     between nodes — Export, Install on the owner, DeleteIfGen at the
+//     exported generation — so its generation and warm plan survive.
+//     Placement and migration serialize on one RWMutex whose read side
+//     is the enqueue step of admission; a rebalance takes the write
+//     side (no new enqueues) and then flushes every queue with a
+//     barrier task, so it observes a quiesced set.
 //
 // Admission comes in two shapes: the synchronous methods (Create, Join,
 // ..., each taking a context that cancels the wait) block until the
@@ -182,7 +186,9 @@ type Shard struct {
 type Set struct {
 	cfg    Config
 	shards []*Shard
-	ring   []ringPoint
+	// ring places groups on the live shards; rebuilt under placeMu's
+	// write side by quarantine and reinstate.
+	ring *Ring[*Shard]
 
 	// placeMu serializes placement against rebalance: admission holds
 	// the read side only across locate + enqueue (never the wait for
@@ -207,12 +213,6 @@ type Set struct {
 	snapDone chan struct{}
 
 	tasks sync.Pool
-}
-
-// ringPoint is one virtual node: a hash position owned by a shard.
-type ringPoint struct {
-	h     uint64
-	shard int
 }
 
 // New builds K shards and their placement ring. Each shard's manager
@@ -272,7 +272,7 @@ func New(cfg Config) (*Set, error) {
 		}
 		s.shards = append(s.shards, sh)
 	}
-	s.ring = buildRing(cfg.Shards, ringReplicas)
+	s.rebuildRing()
 	if cfg.Metrics != nil {
 		s.registerMetrics(cfg.Metrics)
 	}
@@ -299,9 +299,10 @@ func New(cfg Config) (*Set, error) {
 // reconcileRecovered runs after every shard's manager has restored from
 // its store: it advances the Set-level auto-ID counter past recovered
 // "g<k>" IDs and migrates any group whose placement no longer matches
-// its recovered shard (shard count or replica changes move ring
-// ownership; the migration itself is durable, since it appends to the
-// gaining and losing shards' logs).
+// its recovered shard (a shard-count change moves ring ownership, and a
+// crash mid-migration leaves a group on two shards; the higher
+// generation wins). The migration itself is durable, since it appends
+// to the gaining and losing shards' logs.
 func (s *Set) reconcileRecovered() error {
 	s.placeMu.Lock()
 	defer s.placeMu.Unlock()
@@ -378,66 +379,26 @@ func (s *Set) Recovery() []groupd.RecoveryStats {
 // shardLabel renders shard i's metric label pair.
 func shardLabel(i int) string { return fmt.Sprintf(`shard="%d"`, i) }
 
-// ringReplicas is the virtual-node count per shard on the placement
-// ring.
-const ringReplicas = 64
-
-// buildRing hashes replicas virtual nodes per shard onto the ring.
-func buildRing(shards, replicas int) []ringPoint {
-	ring := make([]ringPoint, 0, shards*replicas)
-	for i := 0; i < shards; i++ {
-		for r := 0; r < replicas; r++ {
-			ring = append(ring, ringPoint{h: placeHash(fmt.Sprintf("shard-%d-%d", i, r)), shard: i})
-		}
-	}
-	sort.Slice(ring, func(a, b int) bool { return ring[a].h < ring[b].h })
-	return ring
-}
-
-// placeHash is the placement hash: an inline allocation-free FNV-1a
-// over the group ID, pushed through a splitmix64-style finalizer. Raw
-// FNV-1a of sequential strings ("g1", "g2", "shard-0-1", "shard-0-2")
-// yields near-sequential values — vnodes of one shard would cluster in
-// a single band of the ring — so the avalanche step is load-bearing.
-// Deliberately not seeded: placement must be identical across restarts
-// so operators can reason about which shard owns a group.
-func placeHash(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
-// locate returns the live shard owning id: the first non-quarantined
-// shard clockwise from the ID's hash point. Callers hold placeMu (read
-// or write side). The binary search is hand-rolled so the admission
-// path stays allocation-free.
+// locate returns the live shard owning id. Callers hold placeMu (read
+// or write side).
 func (s *Set) locate(id string) (*Shard, error) {
-	h := placeHash(id)
-	lo, hi := 0, len(s.ring)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.ring[mid].h < h {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	sh, ok := s.ring.Owner(id)
+	if !ok {
+		return nil, ErrNoLiveShard
 	}
-	for k := 0; k < len(s.ring); k++ {
-		p := s.ring[(lo+k)%len(s.ring)]
-		sh := s.shards[p.shard]
+	return sh, nil
+}
+
+// rebuildRing places the live shards on a fresh ring. Callers hold
+// placeMu's write side, or own the Set alone (New).
+func (s *Set) rebuildRing() {
+	live := make([]*Shard, 0, len(s.shards))
+	for _, sh := range s.shards {
 		if !sh.dead.Load() {
-			return sh, nil
+			live = append(live, sh)
 		}
 	}
-	return nil, ErrNoLiveShard
+	s.ring = NewRing(live, func(sh *Shard, r int) string { return fmt.Sprintf("shard-%d-%d", sh.id, r) })
 }
 
 // N returns the per-shard network size.
@@ -622,12 +583,7 @@ func (s *Set) CacheStats() groupd.CacheStats {
 // scalar tallies sum, and Epoch is the largest per-shard epoch number.
 func (s *Set) RunEpoch() (*groupd.EpochReport, error) {
 	s.placeMu.RLock()
-	live := make([]*Shard, 0, len(s.shards))
-	for _, sh := range s.shards {
-		if !sh.dead.Load() {
-			live = append(live, sh)
-		}
-	}
+	live := s.ring.members // a ring is immutable; its member list is too
 	s.placeMu.RUnlock()
 	if len(live) == 0 {
 		return nil, ErrNoLiveShard
@@ -699,37 +655,16 @@ func (s *Set) LastEpoch() *groupd.EpochReport {
 // --- quarantine and rebalance ---
 
 // Quarantine removes shard i from the placement ring and migrates its
-// groups to their new ring successors. Refused when it would leave no
-// live shard.
-func (s *Set) Quarantine(i int) error {
-	s.placeMu.Lock()
-	defer s.placeMu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if i < 0 || i >= len(s.shards) {
-		return fmt.Errorf("%w: %d", ErrNoSuchShard, i)
-	}
-	if s.shards[i].dead.Load() {
-		return fmt.Errorf("shard: %d already quarantined", i)
-	}
-	lives := 0
-	for _, sh := range s.shards {
-		if !sh.dead.Load() {
-			lives++
-		}
-	}
-	if lives <= 1 {
-		return fmt.Errorf("shard: refusing to quarantine %d: %v", i, ErrNoLiveShard)
-	}
-	s.shards[i].dead.Store(true)
-	s.quarantines.Add(1)
-	return s.rebalanceLocked()
-}
+// groups to their new ring owners. Refused when it would leave no live
+// shard.
+func (s *Set) Quarantine(i int) error { return s.setLive(i, false) }
 
 // Reinstate returns shard i to the ring and migrates back the groups
 // whose hash points it owns. The shard's fault-watch trigger re-arms.
-func (s *Set) Reinstate(i int) error {
+func (s *Set) Reinstate(i int) error { return s.setLive(i, true) }
+
+// setLive puts shard i on or takes it off the ring, then rebalances.
+func (s *Set) setLive(i int, live bool) error {
 	s.placeMu.Lock()
 	defer s.placeMu.Unlock()
 	if s.closed {
@@ -738,40 +673,58 @@ func (s *Set) Reinstate(i int) error {
 	if i < 0 || i >= len(s.shards) {
 		return fmt.Errorf("%w: %d", ErrNoSuchShard, i)
 	}
-	if !s.shards[i].dead.Load() {
+	sh := s.shards[i]
+	switch {
+	case live && !sh.dead.Load():
 		return fmt.Errorf("shard: %d not quarantined", i)
+	case !live && sh.dead.Load():
+		return fmt.Errorf("shard: %d already quarantined", i)
+	case !live && len(s.ring.members) <= 1:
+		return fmt.Errorf("shard: refusing to quarantine %d: %v", i, ErrNoLiveShard)
 	}
-	s.shards[i].dead.Store(false)
-	if w := s.shards[i].watch; w != nil {
-		w.fired.Store(false)
+	sh.dead.Store(!live)
+	if !live {
+		s.quarantines.Add(1)
+	} else if sh.watch != nil {
+		sh.watch.fired.Store(false)
 	}
+	s.rebuildRing()
 	return s.rebalanceLocked()
 }
 
-// rebalanceLocked moves every group whose placement no longer matches
-// its current shard. Migration bypasses admission — the caller holds
+// rebalanceLocked moves every group held off its ring owner with the
+// cluster drain's triple: export the group with its warm plan, install
+// it on the owner, then delete the local copy at the exported
+// generation. Generations and warm healthy-fabric plans survive the
+// move. Install comes first, so a crash between the two leaves the
+// group on both shards, never on neither; Install is
+// higher-generation-wins, so the next rebalance (at the latest, the one
+// reconcileRecovered runs at boot) keeps the fresher copy on the owner
+// and drops the other. Migration bypasses admission: the caller holds
 // the write lock (no new enqueues), and the barrier flush below drains
 // everything already queued, so no operation is in flight anywhere.
 func (s *Set) rebalanceLocked() error {
 	s.flushLocked()
 	var firstErr error
 	for _, from := range s.shards {
-		for _, info := range from.gm.List() {
-			to, err := s.locate(info.ID)
+		groups, plans := from.gm.Export()
+		for k, g := range groups {
+			to, err := s.locate(g.ID)
 			if err != nil {
 				return err // no live shard; nothing can be placed
 			}
 			if to == from {
 				continue
 			}
-			if _, err := to.gm.Create(info.ID, info.Source, info.Members); err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("shard: migrating %q to shard %d: %w", info.ID, to.id, err)
-				}
-				continue // keep the group on its old shard rather than lose it
+			err = to.gm.Install(g, plans[k])
+			if err == nil {
+				err = from.gm.DeleteIfGen(g.ID, g.Gen)
 			}
-			if err := from.gm.Delete(info.ID); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("shard: deleting migrated %q from shard %d: %w", info.ID, from.id, err)
+			if err != nil {
+				if firstErr == nil {
+					firstErr = fmt.Errorf("shard: moving %q from shard %d to %d: %w", g.ID, from.id, to.id, err)
+				}
+				continue // the source copy stays; a later rebalance retries
 			}
 			s.migrations.Add(1)
 		}

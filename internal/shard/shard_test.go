@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -218,6 +219,59 @@ func TestQuarantineGuards(t *testing.T) {
 	}
 }
 
+// TestQuarantineKeepsGenAndWarmPlan checks that a rebalance moves a
+// group whole: after a quarantine, and again after the reinstate, the
+// group keeps its generation, and the gaining shard's first plan is a
+// cache hit with the bytes planned before the move.
+func TestQuarantineKeepsGenAndWarmPlan(t *testing.T) {
+	s := newTestSet(t, Config{Shards: 2})
+	ctx := context.Background()
+	if _, err := s.Create(ctx, "x", 0, []int{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []int{5, 9} {
+		if _, err := s.Join(ctx, "x", d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Leave(ctx, "x", 5); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := s.Plan(ctx, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string, want int) {
+		t.Helper()
+		if sh, _ := s.locate("x"); sh.id != want {
+			t.Fatalf("%s: group on shard %d, want %d", stage, sh.id, want)
+		}
+		info, err := s.Get("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Gen != 4 {
+			t.Fatalf("%s: gen %d, want 4", stage, info.Gen)
+		}
+		p, err := s.Plan(ctx, "x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.Cached || !bytes.Equal(p.Blob, warm.Blob) {
+			t.Fatalf("%s: first plan cached=%v, same blob=%v; want a warm identical hit", stage, p.Cached, bytes.Equal(p.Blob, warm.Blob))
+		}
+	}
+	home, _ := s.locate("x")
+	if err := s.Quarantine(home.id); err != nil {
+		t.Fatal(err)
+	}
+	check("after quarantine", 1-home.id)
+	if err := s.Reinstate(home.id); err != nil {
+		t.Fatal(err)
+	}
+	check("after reinstate", home.id)
+}
+
 func TestClosedSet(t *testing.T) {
 	s := newTestSet(t, Config{Shards: 2})
 	seedGroups(t, s, 4)
@@ -247,7 +301,7 @@ func TestShedOverload(t *testing.T) {
 	s.tasks.New = func() any { return &task{done: make(chan struct{}, 1)} }
 	sh := &Shard{id: 0, set: s, queue: make(chan *task, 1)}
 	s.shards = []*Shard{sh}
-	s.ring = buildRing(1, 4)
+	s.rebuildRing()
 	sh.queue <- &task{} // fill; no worker drains it
 
 	tk := s.getTask()
