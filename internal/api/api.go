@@ -13,6 +13,10 @@
 //	GET  /v1/cost?n=256
 //	GET  /v1/sequence?n=8&dests=3,4,7
 //
+// Each of them answers 400 naming n when n is above maxN = 16384.
+// /v1/route and /v1/plan route on warm per-size backends; see
+// stateless.go.
+//
 // Every Server fronts a *shard.Set, which serves the stateful group
 // endpoints of groups.go (with ?async=1 ticketed admission through the
 // /v1/tickets surface of tickets.go: 202 + ticket ID, long-poll, SSE)
@@ -26,15 +30,14 @@
 package api
 
 import (
-	"encoding/base64"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
 
 	"brsmn/internal/backend"
-	"brsmn/internal/core"
 	"brsmn/internal/cost"
+	"brsmn/internal/fabric"
 	"brsmn/internal/faultd"
 	"brsmn/internal/mcast"
 	"brsmn/internal/netsim"
@@ -43,7 +46,6 @@ import (
 	"brsmn/internal/rbn"
 	"brsmn/internal/sched"
 	"brsmn/internal/shard"
-	"brsmn/internal/shuffle"
 )
 
 // Server handles the HTTP API. Construct with NewServer.
@@ -59,6 +61,8 @@ type Server struct {
 	planTail []byte
 	// backendsReply is the whole GET /v1/backends reply.
 	backendsReply []byte
+	// warm serves /v1/route and /v1/plan; see stateless.go.
+	warm warmBackends
 }
 
 // NewServer returns a handler-ready server using the given engine for
@@ -178,14 +182,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // RouteRequest is the /v1/route payload.
 type RouteRequest struct {
-	N     int     `json:"n"`
-	Dests [][]int `json:"dests"`
+	N     int       `json:"n"`
+	Dests DestLists `json:"dests"`
 }
 
 func (r *RouteRequest) validate() (fields []FieldError) {
-	if r.N < 2 || !shuffle.IsPow2(r.N) {
-		fields = append(fields, FieldError{Field: "n", Reason: "required: a power of two >= 2"})
-	}
+	fields = appendSizeField(fields, r.N)
 	if len(r.Dests) == 0 {
 		fields = append(fields, FieldError{Field: "dests", Reason: "required: one destination list per source"})
 	}
@@ -212,30 +214,26 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	nw, err := core.New(a.N, s.eng)
+	wb, err := s.backendFor(backend.TierBRSMN, a.N)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	res, err := nw.Route(a)
+	rt, err := wb.b.Route(a)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	resp := RouteResponse{
-		Deliveries: make([]int, a.N),
-		Depth:      cost.BRSMNDepth(a.N),
-	}
-	for out, d := range res.Deliveries {
-		resp.Deliveries[out] = d.Source
-	}
-	for _, lp := range res.Plans {
-		c := lp.Scatter.CountSettings()
-		resp.Splits += c[2] + c[3]
-	}
-	for _, f := range res.Final {
-		if f.IsBroadcast() {
-			resp.Splits++
+	resp := RouteResponse{Deliveries: rt.Deliveries, Depth: cost.BRSMNDepth(a.N)}
+	// The broadcast switches sit in the scatter and delivery columns.
+	for _, c := range rt.Columns {
+		if c.Kind == fabric.ColQuasisort {
+			continue
+		}
+		for _, st := range c.Settings {
+			if st.IsBroadcast() {
+				resp.Splits++
+			}
 		}
 	}
 	writeData(w, http.StatusOK, resp)
@@ -248,10 +246,7 @@ type ScheduleRequest struct {
 }
 
 func (r *ScheduleRequest) validate() (fields []FieldError) {
-	if r.N < 2 || !shuffle.IsPow2(r.N) {
-		fields = append(fields, FieldError{Field: "n", Reason: "required: a power of two >= 2"})
-	}
-	return fields
+	return appendSizeField(fields, r.N)
 }
 
 // ScheduleResponse is the /v1/schedule reply.
@@ -291,9 +286,11 @@ type CostResponse struct {
 
 func (s *Server) handleCost(w http.ResponseWriter, r *http.Request) {
 	n, err := strconv.Atoi(r.URL.Query().Get("n"))
-	if err != nil || !shuffle.IsPow2(n) || n < 2 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "invalid request",
-			FieldError{Field: "n", Reason: "required: a power of two >= 2"})
+	if err != nil {
+		n = 0 // reported as not a power of two
+	}
+	if fields := appendSizeField(nil, n); len(fields) > 0 {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "invalid request", fields...)
 		return
 	}
 	writeData(w, http.StatusOK, CostResponse{N: n, Rows: cost.Table2(n)})
@@ -309,6 +306,10 @@ func (s *Server) handleSequence(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "invalid request",
 			FieldError{Field: "n", Reason: "required: an integer network size"})
+		return
+	}
+	if n > maxN {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "invalid request", appendSizeField(nil, n)...)
 		return
 	}
 	var dests []int
@@ -354,7 +355,9 @@ func (r *PlanRequest) validate() []FieldError {
 // format, base64-encoded — what a hardware configuration flow consumes.
 // Backend, passes and cost describe the fabric that planned it, as in
 // the group-plan envelope. A permnet program concatenates its unicast
-// passes; a pass boundary is where the column level restarts at 1.
+// passes; a pass boundary is where the column level restarts at 1. It
+// is the type clients decode the reply into; the server writes the same
+// JSON directly (see writePlan).
 type PlanResponse struct {
 	Deliveries []int     `json:"deliveries"`
 	Columns    int       `json:"columns"`
@@ -375,12 +378,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	b, err := backend.New(tier, a.N, s.eng)
+	wb, err := s.backendFor(tier, a.N)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	rt, err := b.Route(a)
+	rt, err := wb.b.Route(a)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
@@ -390,15 +393,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	row := b.Cost()
-	writeData(w, http.StatusOK, PlanResponse{
-		Deliveries: rt.Deliveries,
-		Columns:    len(rt.Columns),
-		Plan:       base64.StdEncoding.EncodeToString(blob),
-		Backend:    b.Name(),
-		Passes:     rt.Passes,
-		Cost:       &row,
-	})
+	wb.writePlan(w, rt, blob)
 }
 
 // PipelineRequest is the /v1/pipeline payload: a batch of same-size
@@ -410,9 +405,7 @@ type PipelineRequest struct {
 }
 
 func (r *PipelineRequest) validate() (fields []FieldError) {
-	if r.N < 2 || !shuffle.IsPow2(r.N) {
-		fields = append(fields, FieldError{Field: "n", Reason: "required: a power of two >= 2"})
-	}
+	fields = appendSizeField(fields, r.N)
 	if r.Gap < 0 {
 		fields = append(fields, FieldError{Field: "gap", Reason: "must be non-negative"})
 	}

@@ -30,10 +30,14 @@ func (b *BRSMN) Name() string { return TierBRSMN.String() }
 // Cost implements Backend.
 func (b *BRSMN) Cost() cost.Row { return cost.BRSMN(b.nw.N()) }
 
-// Route implements Backend: a pooled core route flattened into the
-// linear column program.
+// Route implements Backend: a route on a warm pooled planner, flattened
+// into the linear column program before the planner goes back to the
+// pool, so the planner's result is never copied.
 func (b *BRSMN) Route(a mcast.Assignment) (*Route, error) {
-	res, err := b.nw.Route(a)
+	pool := b.nw.Planners()
+	pl := pool.Get()
+	defer pool.Put(pl)
+	res, err := pl.Route(a)
 	if err != nil {
 		return nil, err
 	}

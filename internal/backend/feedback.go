@@ -1,6 +1,8 @@
 package backend
 
 import (
+	"sync"
+
 	"brsmn/internal/cost"
 	"brsmn/internal/fabric"
 	"brsmn/internal/feedback"
@@ -15,18 +17,27 @@ import (
 // sequential passes. Its plans are not patchable — every membership
 // change recomputes all passes.
 type Feedback struct {
-	n    int
-	m    int
-	pool *feedback.PlannerPool
+	n int
+	m int
+	// pool holds idle *feedback.Planner values. A sync.Pool rather than
+	// feedback.PlannerPool, whose free list keeps its peak concurrency
+	// forever: here idle planners go at GC, as the BRSMN backend's do.
+	pool sync.Pool
 }
 
 // NewFeedback returns the feedback backend for an n x n network.
 func NewFeedback(n int, eng rbn.Engine) (*Feedback, error) {
-	pool, err := feedback.NewPlannerPool(n, eng)
+	pl, err := feedback.NewPlanner(n, eng)
 	if err != nil {
 		return nil, err
 	}
-	return &Feedback{n: n, m: shuffle.Log2(n), pool: pool}, nil
+	b := &Feedback{n: n, m: shuffle.Log2(n)}
+	b.pool.New = func() any {
+		pl, _ := feedback.NewPlanner(n, eng) // n validated above
+		return pl
+	}
+	b.pool.Put(pl)
+	return b, nil
 }
 
 // Name implements Backend.
@@ -43,14 +54,23 @@ func (b *Feedback) Cost() cost.Row { return cost.Feedback(b.n) }
 // program executes under fabric.Run exactly like an unrolled plan: the
 // level hand-off advances after the last column of each quasisort pass.
 func (b *Feedback) Route(a mcast.Assignment) (*Route, error) {
-	pl := b.pool.Get()
+	pl := b.pool.Get().(*feedback.Planner)
 	defer b.pool.Put(pl)
 	res, err := pl.Route(a)
 	if err != nil {
 		return nil, err
 	}
 	n, m := b.n, b.m
-	cols := make([]fabric.Column, 0, 2*m*(m-1)+1)
+	depth := 2*m*(m-1) + 1
+	// Every column's settings are carved from one backing array.
+	backing := make([]swbox.Setting, depth*n/2)
+	settings := func(stage []swbox.Setting) []swbox.Setting {
+		s := backing[: n/2 : n/2]
+		backing = backing[n/2:]
+		copy(s, stage)
+		return s
+	}
+	cols := make([]fabric.Column, 0, depth)
 	pi := 0
 	level := 0
 	for size := n; size > 2; size /= 2 {
@@ -63,7 +83,7 @@ func (b *Feedback) Route(a mcast.Assignment) (*Route, error) {
 					Kind:      kind,
 					Level:     level,
 					BlockSize: 1 << (j + 1),
-					Settings:  append([]swbox.Setting(nil), p.Stages[j]...),
+					Settings:  settings(p.Stages[j]),
 				})
 			}
 		}
@@ -74,7 +94,7 @@ func (b *Feedback) Route(a mcast.Assignment) (*Route, error) {
 		Kind:      fabric.ColDeliver,
 		Level:     level + 1,
 		BlockSize: 2,
-		Settings:  append([]swbox.Setting(nil), fp.Stages[0]...),
+		Settings:  settings(fp.Stages[0]),
 	})
 	return &Route{
 		Backend:    TierFeedback,

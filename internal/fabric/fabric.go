@@ -186,55 +186,70 @@ func (c Column) SwitchFor(link int) int {
 // Flatten converts a routed BRSMN result into its linear column program:
 // for each level in order, the scatter stages then the quasisort stages
 // of all the level's BSNs (side by side), then the delivery column. The
-// result has exactly cost.BRSMNDepth(n) columns.
+// result has exactly cost.BRSMNDepth(n) columns, whose settings are
+// carved from one backing array.
 func Flatten(res *core.Result) ([]Column, error) {
 	n := res.N
 	if !shuffle.IsPow2(n) || n < 2 {
 		return nil, fmt.Errorf("fabric: result size %d is not a power of two >= 2", n)
 	}
-	// Group level plans by level.
-	byLevel := map[int][]core.LevelPlan{}
+	// size[level] is the BSN size of a level, that of its first plan.
+	// Levels run from 1 to log2(n) - 1, and n fits in 32 bits.
+	var size [33]int
 	maxLevel := 0
 	for _, lp := range res.Plans {
-		byLevel[lp.Level] = append(byLevel[lp.Level], lp)
-		if lp.Level > maxLevel {
-			maxLevel = lp.Level
+		if lp.Level < 1 {
+			continue
 		}
+		if lp.Level >= len(size) {
+			return nil, fmt.Errorf("fabric: BSN plan at level %d of an n=%d result", lp.Level, n)
+		}
+		if size[lp.Level] == 0 {
+			size[lp.Level] = lp.Size
+		}
+		maxLevel = max(maxLevel, lp.Level)
 	}
-	var cols []Column
+	depth := 1
 	for level := 1; level <= maxLevel; level++ {
-		plans := byLevel[level]
-		if len(plans) == 0 {
+		if size[level] == 0 {
 			return nil, fmt.Errorf("fabric: no BSN plans at level %d", level)
 		}
-		size := plans[0].Size
-		stagesPer := shuffle.Log2(size)
-		for _, kind := range []ColumnKind{ColScatter, ColQuasisort} {
+		depth += 2 * shuffle.Log2(size[level])
+	}
+	h := n / 2
+	if len(res.Final) != h {
+		return nil, fmt.Errorf("fabric: %d final settings for n=%d", len(res.Final), n)
+	}
+	backing := make([]swbox.Setting, depth*h)
+	cols := make([]Column, depth)
+	for ci := range cols {
+		cols[ci].Settings = backing[ci*h : (ci+1)*h : (ci+1)*h]
+	}
+	ci := 0
+	for level := 1; level <= maxLevel; level++ {
+		stagesPer := shuffle.Log2(size[level])
+		scatter := cols[ci : ci+stagesPer]
+		quasi := cols[ci+stagesPer : ci+2*stagesPer]
+		for j := 0; j < stagesPer; j++ {
+			scatter[j].Kind, scatter[j].Level, scatter[j].BlockSize = ColScatter, level, 1<<(j+1)
+			quasi[j].Kind, quasi[j].Level, quasi[j].BlockSize = ColQuasisort, level, 1<<(j+1)
+		}
+		for _, lp := range res.Plans {
+			if lp.Level != level {
+				continue
+			}
+			lo, hi := lp.Base/2, lp.Base/2+size[level]/2
 			for j := 0; j < stagesPer; j++ {
-				col := Column{
-					Kind:      kind,
-					Level:     level,
-					BlockSize: 1 << (j + 1),
-					Settings:  make([]swbox.Setting, n/2),
-				}
-				for _, lp := range plans {
-					p := lp.Scatter
-					if kind == ColQuasisort {
-						p = lp.Quasi
-					}
-					copy(col.Settings[lp.Base/2:lp.Base/2+size/2], p.Stages[j])
-				}
-				cols = append(cols, col)
+				copy(scatter[j].Settings[lo:hi], lp.Scatter.Stages[j])
+				copy(quasi[j].Settings[lo:hi], lp.Quasi.Stages[j])
 			}
 		}
-		cols[len(cols)-1].AdvanceAfter = true
+		ci += 2 * stagesPer
+		cols[ci-1].AdvanceAfter = true
 	}
-	cols = append(cols, Column{
-		Kind:      ColDeliver,
-		Level:     maxLevel + 1,
-		BlockSize: 2,
-		Settings:  append([]swbox.Setting(nil), res.Final...),
-	})
+	last := &cols[ci]
+	last.Kind, last.Level, last.BlockSize = ColDeliver, maxLevel+1, 2
+	copy(last.Settings, res.Final)
 	return cols, nil
 }
 

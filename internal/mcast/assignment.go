@@ -21,7 +21,7 @@ type Assignment struct {
 }
 
 // New builds and validates an assignment. The destination sets are
-// defensively copied and sorted.
+// defensively copied, into one backing array, and sorted.
 func New(n int, dests [][]int) (Assignment, error) {
 	if !shuffle.IsPow2(n) || n < 2 {
 		return Assignment{}, fmt.Errorf("mcast: network size %d is not a power of two >= 2", n)
@@ -30,11 +30,18 @@ func New(n int, dests [][]int) (Assignment, error) {
 		return Assignment{}, fmt.Errorf("mcast: %d destination sets for %d inputs", len(dests), n)
 	}
 	a := Assignment{N: n, Dests: make([][]int, n)}
+	total := 0
+	for _, ds := range dests {
+		total += len(ds)
+	}
+	flat := make([]int, 0, total)
 	for i, ds := range dests {
 		if len(ds) == 0 {
 			continue
 		}
-		cp := append([]int(nil), ds...)
+		lo := len(flat)
+		flat = append(flat, ds...)
+		cp := flat[lo:len(flat):len(flat)]
 		sort.Ints(cp)
 		a.Dests[i] = cp
 	}

@@ -64,12 +64,12 @@ func Encode(n int, cols []fabric.Column) ([]byte, error) {
 	if len(cols) > 255*255 { // far beyond any real depth; keeps sizes sane
 		return nil, fmt.Errorf("plancodec: %d columns is implausible", len(cols))
 	}
-	out := make([]byte, 0, 16+len(cols)*(4+n/8+1))
+	settingsBytes := (n/2*2 + 7) / 8
+	out := make([]byte, 0, 13+len(cols)*(4+settingsBytes))
 	out = append(out, Magic...)
 	out = append(out, FormatVersion)
 	out = binary.LittleEndian.AppendUint32(out, uint32(n))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(cols)))
-	settingsBytes := (n/2*2 + 7) / 8
 	for ci, c := range cols {
 		if len(c.Settings) != n/2 {
 			return nil, fmt.Errorf("plancodec: column %d has %d settings, want %d", ci, len(c.Settings), n/2)
@@ -81,14 +81,31 @@ func Encode(n int, cols []fabric.Column) ([]byte, error) {
 			return nil, fmt.Errorf("plancodec: column %d level %d out of byte range", ci, c.Level)
 		}
 		out = append(out, uint8(c.Kind), uint8(c.Level), uint8(shuffle.Log2(c.BlockSize)), boolByte(c.AdvanceAfter))
-		packed := make([]byte, settingsBytes)
-		for w, s := range c.Settings {
-			if !s.Valid() {
-				return nil, fmt.Errorf("plancodec: column %d switch %d has invalid setting %d", ci, w, uint8(s))
-			}
-			packed[w/4] |= uint8(s) << (uint(w%4) * 2)
+		// The column's settings pack straight into the output, four to a
+		// byte. A setting is valid when it fits its two bits, so one OR
+		// over the column checks them all.
+		start := len(out)
+		out = append(out, make([]byte, settingsBytes)...)
+		packed := out[start:]
+		var all swbox.Setting
+		st := c.Settings
+		w := 0
+		for ; w+4 <= len(st); w += 4 {
+			s := st[w : w+4 : w+4]
+			all |= s[0] | s[1] | s[2] | s[3]
+			packed[w/4] = uint8(s[0]) | uint8(s[1])<<2 | uint8(s[2])<<4 | uint8(s[3])<<6
 		}
-		out = append(out, packed...)
+		for ; w < len(st); w++ { // n = 2 or 4: under four switches
+			all |= st[w]
+			packed[w/4] |= uint8(st[w]) << (uint(w%4) * 2)
+		}
+		if !all.Valid() {
+			for w, s := range c.Settings {
+				if !s.Valid() {
+					return nil, fmt.Errorf("plancodec: column %d switch %d has invalid setting %d", ci, w, uint8(s))
+				}
+			}
+		}
 	}
 	return out, nil
 }
