@@ -152,6 +152,9 @@ func TestCachedGroupPlanAllocs(t *testing.T) {
 		t.Errorf("cached plan fetch allocates %.0f times, want <= %d", plain, maxCachedPlanAllocs)
 	}
 	t.Run("metrics", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("the race detector makes sync.Pool drop a quarter of its Puts, so planBufs reallocates at random")
+		}
 		withMetrics := cachedPlanAllocs(t, WithMetrics(obs.NewRegistry()))
 		t.Logf("cached plan fetch at n=1024 with metrics: %.0f allocs", withMetrics)
 		if withMetrics > plain+1 {

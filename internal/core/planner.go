@@ -354,20 +354,18 @@ func (p *Planner) routeRec(level, base, size, slot int) error {
 	}
 	lp := &p.plans[slot]
 	cells := p.levels[level-1][base : base+size]
+	out := p.levels[level][base : base+size]
 	r := <-p.routers
-	var out []pcell
 	var err error
 	if tr := p.tr; tr != nil {
-		out, err = r.route(p, level, cells, lp, &tr.ScatterNs, &tr.QuasiNs)
+		err = r.route(p, level, cells, out, lp, &tr.ScatterNs, &tr.QuasiNs)
 	} else {
-		out, err = r.route(p, level, cells, lp, nil, nil)
+		err = r.route(p, level, cells, out, lp, nil, nil)
 	}
+	p.routers <- r
 	if err != nil {
-		p.routers <- r
 		return fmt.Errorf("core: level %d BSN at output base %d: %w", level, base, err)
 	}
-	copy(p.levels[level][base:base+size], out)
-	p.routers <- r
 
 	half := size / 2
 	upSlot, loSlot := slot+1, slot+size/4
@@ -399,17 +397,17 @@ func (p *Planner) routeRec(level, base, size, slot int) error {
 
 // pRouter is a reusable binary-splitting-network router over pcells: the
 // same two-pass scatter + quasisort routing as bsn.Route, but into
-// preallocated plans and buffers, with cells carrying tree nodes instead
-// of tag sequences, so the entry tags are lane loads and the level
-// advance folds into the scatter pass itself — χ cells step to their
-// child node before the permutation is applied and α cells step during
-// the broadcast split, eliminating the separate sequence-advance sweep
+// preallocated plans and buffers, with both passes applied in place on
+// the planner's next level. Cells carry tree nodes instead of tag
+// sequences, so the entry tags are lane loads and the level advance
+// folds into the scatter pass itself — χ cells step to their child node
+// before the permutation is applied and α cells step during the
+// broadcast split, eliminating the separate sequence-advance sweep
 // entirely.
 type pRouter struct {
 	tags    []tag.Value
 	midTags []tag.Value
 	divided []tag.Value
-	a, b    []pcell
 	sc      *rbn.Scratch
 }
 
@@ -418,67 +416,65 @@ func newPRouter(n int) *pRouter {
 		tags:    make([]tag.Value, n),
 		midTags: make([]tag.Value, n),
 		divided: make([]tag.Value, n),
-		a:       make([]pcell, n),
-		b:       make([]pcell, n),
 		sc:      rbn.NewScratch(n),
 	}
 }
 
 // route drives cells (entering tree level `level`) through one BSN,
-// writing the scatter and quasisort settings into lp and returning the
-// output cells, every one advanced to tree level level+1. The output
-// aliases the router's buffers: consume or copy it before the next call.
-func (r *pRouter) route(p *Planner, level int, cells []pcell, lp *LevelPlan, scatterNs, quasiNs *int64) ([]pcell, error) {
+// writing the scatter and quasisort settings into lp and the output
+// cells, every one advanced to tree level level+1, into out (len(cells)
+// long, disjoint from cells).
+func (r *pRouter) route(p *Planner, level int, cells, out []pcell, lp *LevelPlan, scatterNs, quasiNs *int64) error {
 	n := len(cells)
 	tags := r.tags[:n]
-	for i, c := range cells {
-		if c.isIdle() {
-			tags[i] = tag.Eps
-		} else {
-			tags[i] = p.laneAt(p.treeOff[c.src], int(c.node))
-		}
-	}
-	if err := tag.Count(tags).CheckBSNInput(n); err != nil {
-		return nil, err
-	}
-
-	// Pass 1: scatter — eliminate αs. The working copy pre-advances every
-	// χ cell to its child node (the retained input cells stay untouched
-	// for RoutePatch re-entry); α cells advance inside splitPCell.
 	var t0 time.Time
 	if scatterNs != nil {
 		t0 = time.Now()
 	}
-	if err := p.eng.ScatterPlanInto(lp.Scatter, tags, 0, r.sc); err != nil {
-		return nil, err
-	}
-	a := r.a[:n]
+	// Read the entry tags, and fill out with the scatter's working copy
+	// of the cells: every χ cell pre-advances to its child node (the
+	// retained input cells stay untouched for RoutePatch re-entry); α
+	// cells advance inside splitPCell. The lanes are 2-bit tag values,
+	// so the entry counts of equations (1)–(3) index a small array.
+	var cnt [4]int
 	for i, c := range cells {
+		v := tag.Eps
 		if !c.isIdle() {
-			switch tags[i] {
+			v = p.laneAt(p.treeOff[c.src], int(c.node))
+			switch v {
 			case tag.V0:
 				c.node = 2 * c.node
 			case tag.V1:
 				c.node = 2*c.node + 1
 			}
 		}
-		a[i] = c
+		tags[i] = v
+		out[i] = c
+		cnt[v&3]++
 	}
-	mid, err := rbn.ApplyScratch(lp.Scatter, a, a, r.b[:n], splitPCell)
-	if err != nil {
-		return nil, err
+	in := tag.Counts{N0: cnt[tag.V0], N1: cnt[tag.V1], NAlpha: cnt[tag.Alpha], NEps: cnt[tag.Eps]}
+	if err := in.CheckBSNInput(n); err != nil {
+		return err
+	}
+
+	// Pass 1: scatter — eliminate αs.
+	if err := p.eng.ScatterPlanInto(lp.Scatter, tags, 0, r.sc); err != nil {
+		return err
+	}
+	if _, err := rbn.ApplyScratch(lp.Scatter, out, out, splitPCell); err != nil {
+		return err
 	}
 	// After the scatter every live cell sits at tree level level+1, so
 	// its quasisort bit is the node's parity. A cell still at the entry
 	// level is an α the scatter failed to split.
 	midTags := r.midTags[:n]
 	levelEnd := int32(1) << uint(level)
-	for i, c := range mid {
+	for i, c := range out {
 		switch {
 		case c.isIdle():
 			midTags[i] = tag.Eps
 		case c.node < levelEnd:
-			return nil, fmt.Errorf("core: α survived the scatter network at position %d", i)
+			return fmt.Errorf("core: α survived the scatter network at position %d", i)
 		case c.node&1 == 1:
 			midTags[i] = tag.V1
 		default:
@@ -494,27 +490,26 @@ func (r *pRouter) route(p *Planner, level int, cells []pcell, lp *LevelPlan, sca
 		t0 = time.Now()
 	}
 	if err := p.eng.QuasisortPlanInto(lp.Quasi, r.divided[:n], midTags, r.sc); err != nil {
-		return nil, err
+		return err
 	}
-	out, err := rbn.ApplyScratch(lp.Quasi, mid, r.a[:n], r.b[:n], nil)
-	if err != nil {
-		return nil, err
+	if _, err := rbn.ApplyScratch(lp.Quasi, out, out, nil); err != nil {
+		return err
 	}
 	for i, c := range out {
 		if c.isIdle() {
 			continue
 		}
 		if c.node&1 == 0 && i >= n/2 {
-			return nil, fmt.Errorf("core: 0-tagged connection from input %d quasisorted to lower-half output %d", c.src, i)
+			return fmt.Errorf("core: 0-tagged connection from input %d quasisorted to lower-half output %d", c.src, i)
 		}
 		if c.node&1 == 1 && i < n/2 {
-			return nil, fmt.Errorf("core: 1-tagged connection from input %d quasisorted to upper-half output %d", c.src, i)
+			return fmt.Errorf("core: 1-tagged connection from input %d quasisorted to upper-half output %d", c.src, i)
 		}
 	}
 	if quasiNs != nil {
 		atomic.AddInt64(quasiNs, int64(time.Since(t0)))
 	}
-	return out, nil
+	return nil
 }
 
 // deliver realizes the 2x2 switch covering outputs base and base+1. Its

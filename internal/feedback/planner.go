@@ -39,15 +39,15 @@ type Planner struct {
 	// full-size pass plan).
 	subs []*rbn.Plan
 
-	cellsA, cellsB []bsn.Cell
-	blockTags      []tag.Value
-	divided        []tag.Value
-	sc             *rbn.Scratch
-	seqb           mcast.SeqBuilder
-	arena          bsn.Arena
-	deliveries     []core.Delivery
-	owner          []int
-	res            Result
+	cells      []bsn.Cell // every pass applies its settings here in place
+	blockTags  []tag.Value
+	divided    []tag.Value
+	sc         *rbn.Scratch
+	seqb       mcast.SeqBuilder
+	arena      bsn.Arena
+	deliveries []core.Delivery
+	owner      []int
+	res        Result
 }
 
 // NewPlanner returns a reusable planner for an n x n feedback network.
@@ -67,8 +67,7 @@ func NewPlanner(n int, eng rbn.Engine) (*Planner, error) {
 			p.subs[k] = rbn.NewPlan(size)
 		}
 	}
-	p.cellsA = make([]bsn.Cell, n)
-	p.cellsB = make([]bsn.Cell, n)
+	p.cells = make([]bsn.Cell, n)
 	p.blockTags = make([]tag.Value, n)
 	p.divided = make([]tag.Value, n)
 	p.sc = rbn.NewScratch(n)
@@ -104,7 +103,7 @@ func (p *Planner) RouteWithPayloads(a mcast.Assignment, payloads []any) (*Result
 		return nil, fmt.Errorf("feedback: %d payloads for %d inputs", len(payloads), n)
 	}
 	p.arena.Reset()
-	cells := p.cellsA
+	cells := p.cells
 	for i := 0; i < n; i++ {
 		if len(a.Dests[i]) == 0 {
 			cells[i] = bsn.Idle()
@@ -130,7 +129,7 @@ func (p *Planner) RouteWithPayloads(a mcast.Assignment, payloads []any) (*Result
 			return nil, err
 		}
 		var err error
-		cells, err = rbn.ApplyScratch(sp, cells, p.cellsA, p.cellsB, bsn.SplitCell)
+		cells, err = rbn.ApplyScratch(sp, cells, p.cells, bsn.SplitCell)
 		if err != nil {
 			return nil, err
 		}
@@ -146,7 +145,7 @@ func (p *Planner) RouteWithPayloads(a mcast.Assignment, payloads []any) (*Result
 		if err := p.levelPass(qp, size, cells, false); err != nil {
 			return nil, err
 		}
-		cells, err = rbn.ApplyScratch(qp, cells, p.cellsA, p.cellsB, nil)
+		cells, err = rbn.ApplyScratch(qp, cells, p.cells, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -182,7 +181,7 @@ func (p *Planner) RouteWithPayloads(a mcast.Assignment, payloads []any) (*Result
 		}
 		fp.Stages[0][w] = setting
 	}
-	cells, err := rbn.ApplyScratch(fp, cells, p.cellsA, p.cellsB, bsn.SplitCell)
+	cells, err := rbn.ApplyScratch(fp, cells, p.cells, bsn.SplitCell)
 	if err != nil {
 		return nil, err
 	}

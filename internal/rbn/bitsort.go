@@ -3,6 +3,7 @@ package rbn
 import (
 	"fmt"
 
+	"brsmn/internal/seq"
 	"brsmn/internal/shuffle"
 	"brsmn/internal/swbox"
 )
@@ -52,22 +53,18 @@ func (e Engine) BitSortPlanInto(p *Plan, gamma []bool, s int, sc *Scratch) error
 	sc.ensure(n)
 	m := p.M
 
-	// Forward phase: ls[j][b] is l, the γ count of the level-j node
+	// Forward phase: cnt[j][b] is l, the γ count of the level-j node
 	// covering links [b*2^j, (b+1)*2^j).
-	ls := sc.ls
+	cnt := sc.cnt
+	leaf := cnt[0][:n]
 	for i, g := range gamma {
-		v := 0
+		var v uint64
 		if g {
 			v = 1
 		}
-		ls[0][i] = v
+		leaf[i] = v
 	}
-	for j := 1; j <= m; j++ {
-		prev, cur := ls[j-1], ls[j][:n>>j]
-		for b := range cur {
-			cur[b] = prev[2*b] + prev[2*b+1]
-		}
-	}
+	sumUp(cnt, n)
 
 	// Backward phase: ss[j][b] is the starting position handed to the
 	// level-j node; the root receives the caller's s. Each node applies
@@ -75,26 +72,45 @@ func (e Engine) BitSortPlanInto(p *Plan, gamma []bool, s int, sc *Scratch) error
 	ss := sc.ss
 	ss[m][0] = s
 	for j := m; j >= 1; j-- {
-		h := 1 << (j - 1) // half the node size; switches per node
-		child, lchild, col := ss[j-1], ls[j-1], p.Stages[j-1]
+		k := uint(j - 1) // the node's h = 2^k switches
+		child, lchild, col := ss[j-1], cnt[j-1], p.Stages[j-1]
 		for b, sNode := range ss[j][:n>>j] {
-			l0 := lchild[2*b]
-			s1 := (sNode + l0) % h
-			bset := swbox.Setting(((sNode + l0) / h) % 2)
-			child[2*b] = sNode % h
-			child[2*b+1] = s1
-			// W^h_{0,s1;b̄,b}: the first s1 switches get bset.
-			base := b * h
-			for i := 0; i < h; i++ {
-				if i < s1 {
-					col[base+i] = bset
-				} else {
-					col[base+i] = bset.Opposite()
-				}
-			}
+			child[2*b], child[2*b+1] = lemma1(col[b<<k:(b+1)<<k], k, sNode, int(lchild[2*b]))
 		}
 	}
 	return nil
+}
+
+// sumUp runs the forward sweep of an n-leaf tree whose leaves are in
+// lv[0]: every node of levels 1..log2(n) gets the sum of its children.
+func sumUp[T uint64 | int](lv [][]T, n int) {
+	for j := 1; n>>j > 0; j++ {
+		prev, cur := lv[j-1], lv[j][:n>>j]
+		for b := range cur {
+			cur[b] = prev[2*b] + prev[2*b+1]
+		}
+	}
+}
+
+// lemma1 configures the merging stage of a node of 2h links (h = 2^k)
+// that receives starting position s and whose upper child holds l0 of
+// the run (Lemma 1): it writes W^h_{0,s1;b̄,b} into col, the node's h
+// switches, as two runs, and returns the children's starting positions
+// s mod h and s1 = (s+l0) mod h.
+func lemma1(col []swbox.Setting, k uint, s, l0 int) (s0, s1 int) {
+	t := s + l0
+	mask := len(col) - 1
+	s1 = t & mask
+	// k&63 spares the shift its width check: k < 64 always.
+	b := swbox.Setting(t>>(k&63)) & 1
+	if mask == 0 {
+		// h = 1 (half of a sweep's nodes): s1 = 0, one switch of b̄.
+		col[0] = b ^ 1
+		return 0, 0
+	}
+	seq.Fill(col[:s1], b)
+	seq.Fill(col[s1:], b^1) // b̄: Parallel <-> Cross
+	return s & mask, s1
 }
 
 // BitSortRoute composes BitSortPlan with Apply: it routes the boolean

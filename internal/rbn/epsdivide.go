@@ -48,82 +48,94 @@ func (e Engine) EpsDivideInto(dst []tag.Value, tags []tag.Value, sc *Scratch) er
 	}
 	sc.ensure(n)
 	m := shuffle.Log2(n)
+	if err := epsForward(tags, sc); err != nil {
+		return err
+	}
 
-	// Forward phase: per-node ε count; n1 (the real-1 count) is also a
-	// forward reduction (Section 7.2 counts it from bit b2). The leaf
-	// level writes every entry (scratch rows carry stale prior sweeps).
-	ne := sc.ne
-	n1s := sc.n1s
+	// Backward phase: split each node's ε budget between dummy 0s and
+	// dummy 1s, filling dummy 0s greedily into the left child — any split
+	// respecting the per-node ε counts works, and this one needs only a
+	// min and a subtraction per node (Table 6). A node's dummy-1 budget
+	// is its ε count minus its dummy-0 budget, so only the latter is
+	// stored. Every level is fully written top-down, so no pre-zeroing
+	// is needed.
+	cnt, ne0 := sc.cnt, sc.ne0
+	ne0[m][0] = rootDummy0(cnt[m][0], n)
+	for j := m; j >= 1; j-- {
+		cc, ne0c := cnt[j-1], ne0[j-1]
+		for b, e0 := range ne0[j][:n>>j] {
+			d0 := min(e0, int(cc[2*b]&epsMask))
+			ne0c[2*b] = d0
+			ne0c[2*b+1] = e0 - d0
+		}
+	}
+	relabel(dst, tags, ne0[0])
+	return nil
+}
+
+// epsMask selects the ε count of a packed Scratch.cnt entry; the real-1
+// count sits above it. Both are at most n, far below 2^32.
+const epsMask = 1<<32 - 1
+
+// epsForward runs Table 6's forward sweep into sc.cnt: each node's ε
+// count and real-1 count (Section 7.2 counts n1 from bit b2), packed in
+// one word so a single sum computes both. It rejects inputs that are not
+// 0, 1 or ε, and inputs with more than n/2 ones or zeros.
+func epsForward(tags []tag.Value, sc *Scratch) error {
+	n := len(tags)
+	cnt := sc.cnt
+	// The leaf level writes every entry (scratch rows carry stale prior
+	// sweeps).
+	leaf := cnt[0][:n]
 	invalid := false
 	for i, v := range tags {
-		eps, one := 0, 0
-		switch {
-		case v == tag.Eps:
-			eps = 1
-		case v == tag.V1:
-			one = 1
-		case v == tag.V0:
+		var c uint64
+		switch v {
+		case tag.Eps:
+			c = 1
+		case tag.V1:
+			c = 1 << 32
+		case tag.V0:
 		default:
 			invalid = true
 		}
-		ne[0][i] = eps
-		n1s[0][i] = one
+		leaf[i] = c
 	}
 	if invalid {
 		return epsInvalidInputError(tags)
 	}
-	for j := 1; j <= m; j++ {
-		nePrev, neCur := ne[j-1], ne[j][:n>>j]
-		n1Prev, n1Cur := n1s[j-1], n1s[j]
-		for b := range neCur {
-			neCur[b] = nePrev[2*b] + nePrev[2*b+1]
-			n1Cur[b] = n1Prev[2*b] + n1Prev[2*b+1]
-		}
-	}
-
-	n1 := n1s[m][0]
-	n0 := n - n1 - ne[m][0]
+	sumUp(cnt, n)
+	root := cnt[shuffle.Log2(n)][0]
+	n1 := int(root >> 32)
+	n0 := n - n1 - int(root&epsMask)
 	if n1 > n/2 {
 		return fmt.Errorf("rbn: ε-divide input has %d ones, more than n/2 = %d", n1, n/2)
 	}
 	if n0 > n/2 {
 		return fmt.Errorf("rbn: ε-divide input has %d zeros, more than n/2 = %d", n0, n/2)
 	}
+	return nil
+}
 
-	// Backward phase: split each node's ε budget between dummy 0s and
-	// dummy 1s, filling dummy 0s greedily into the left child — any split
-	// respecting the per-node ε counts works, and this one needs only a
-	// min and three subtractions per node (Table 6). Every level is fully
-	// written top-down, so no pre-zeroing is needed.
-	ne0 := sc.ne0
-	ne1 := sc.ne1
-	ne1[m][0] = n/2 - n1
-	ne0[m][0] = ne[m][0] - ne1[m][0]
-	for j := m; j >= 1; j-- {
-		nec, ne0c, ne1c := ne[j-1], ne0[j-1], ne1[j-1]
-		for b, e0 := range ne0[j][:n>>j] {
-			le := nec[2*b]   // εs in the left child
-			re := nec[2*b+1] // εs in the right child
-			l0 := min(e0, le)
-			ne0c[2*b] = l0
-			ne1c[2*b] = le - l0
-			ne0c[2*b+1] = e0 - l0
-			ne1c[2*b+1] = re - (e0 - l0)
-		}
-	}
+// rootDummy0 is the root's dummy-0 budget: n/2 − n1 of its εs become
+// dummy 1s, the rest dummy 0s.
+func rootDummy0(root uint64, n int) int {
+	return int(root&epsMask) - (n/2 - int(root>>32))
+}
 
+// relabel writes tags into dst with every ε relabelled by its leaf's
+// dummy-0 budget e0: ε0 where it is 1, ε1 where it is 0.
+func relabel(dst, tags []tag.Value, e0 []int) {
+	e0 = e0[:len(tags)]
 	for i, v := range tags {
 		if v == tag.Eps {
-			switch {
-			case ne0[0][i] == 1:
+			v = tag.Eps1
+			if e0[i] == 1 {
 				v = tag.Eps0
-			case ne1[0][i] == 1:
-				v = tag.Eps1
 			}
 		}
 		dst[i] = v
 	}
-	return nil
 }
 
 // epsInvalidInputError is the ε-divide leaf validation error: the last
@@ -172,19 +184,44 @@ func (e Engine) QuasisortPlanInto(p *Plan, divided []tag.Value, tags []tag.Value
 	if len(tags) != n {
 		return fmt.Errorf("rbn: %d input tags for an %d x %d network", len(tags), n, n)
 	}
+	if len(divided) != n {
+		return fmt.Errorf("rbn: ε-divide destination length %d for %d inputs", len(divided), n)
+	}
 	if sc == nil {
 		sc = &Scratch{}
 	}
 	sc.ensure(n)
-	if err := e.EpsDivideInto(divided, tags, sc); err != nil {
+	m := p.M
+	if err := epsForward(tags, sc); err != nil {
 		return err
 	}
-	gamma := sc.gamma[:n]
-	for i, v := range divided {
-		gamma[i] = v.SortBit() == 1
+
+	// One backward sweep runs Table 6 and Table 3 together: each node
+	// splits its ε budget between its children and, in the same step,
+	// sets its merging stage by Lemma 1. The bit sort's γs are the real
+	// and dummy 1s, so the upper child holds l0 = n1 + nε − nε0 of them,
+	// from its own counts and the dummy-0 budget d0 just given to it.
+	// The root receives starting position n/2: C_{n/2, n/2; 0, 1} =
+	// 0^(n/2) 1^(n/2), an ascending bit sort.
+	cnt, ne0, ss := sc.cnt, sc.ne0, sc.ss
+	ne0[m][0] = rootDummy0(cnt[m][0], n)
+	ss[m][0] = n / 2
+	for j := m; j >= 1; j-- {
+		k := uint(j - 1) // the node's h = 2^k switches
+		cc, ne0c, child, col := cnt[j-1], ne0[j-1], ss[j-1], p.Stages[j-1]
+		e0s := ne0[j][:n>>j]
+		for b, sNode := range ss[j][:n>>j] {
+			e0 := e0s[b]
+			up := cc[2*b]
+			ne := int(up & epsMask)
+			d0 := min(e0, ne)
+			ne0c[2*b] = d0
+			ne0c[2*b+1] = e0 - d0
+			child[2*b], child[2*b+1] = lemma1(col[b<<k:(b+1)<<k], k, sNode, int(up>>32)+ne-d0)
+		}
 	}
-	// C_{n/2, n/2; 0, 1} = 0^(n/2) 1^(n/2): ascending bit sort.
-	return e.BitSortPlanInto(p, gamma, n/2, sc)
+	relabel(divided, tags, ne0[0])
+	return nil
 }
 
 // QuasisortRoute composes QuasisortPlan with tag routing and returns the

@@ -3,6 +3,7 @@ package rbn
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"brsmn/internal/seq"
@@ -22,7 +23,9 @@ import (
 //     upper half of the outputs and 1 on the lower half (Theorem 2).
 //
 // Invalid lanes must fail with the leaf validation error naming the
-// last offending index.
+// last offending index. Every plan, ε-divided vector, applied output and
+// error text must also equal the straightforward reference forms kept in
+// reference_test.go.
 func FuzzSweeps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(bytes.Repeat([]byte{0x35}, 130))
@@ -61,7 +64,103 @@ func FuzzSweeps(f *testing.F) {
 		fuzzScatter(t, tags, s)
 		fuzzQuasisort(t, tags)
 		fuzzQuasisort(t, quasiInput(tags))
+		fuzzReference(t, tags, gamma, s)
 	})
+}
+
+// fuzzReference checks the sweeps and the stage apply against the
+// reference forms, with one warm Scratch shared by every sweep as the
+// routing planner shares it.
+func fuzzReference(t *testing.T, tags []tag.Value, gamma []bool, s int) {
+	t.Helper()
+	n := len(tags)
+	sc := NewScratch(2 * n)
+
+	got, want := NewPlan(n), NewPlan(n)
+	if err := Sequential.BitSortPlanInto(got, gamma, s, sc); err != nil {
+		t.Fatal(err)
+	}
+	if err := refBitSort(want, gamma, s); err != nil {
+		t.Fatal(err)
+	}
+	samePlan(t, "bit sort", got, want)
+	checkApply(t, got, tags)
+
+	got, want = NewPlan(n), NewPlan(n)
+	gerr := Sequential.ScatterPlanInto(got, tags, s, sc)
+	if sameErr(t, "scatter", gerr, refScatter(want, tags, s)) {
+		samePlan(t, "scatter", got, want)
+		checkApply(t, got, tags)
+	}
+
+	for _, in := range [][]tag.Value{tags, quasiInput(tags)} {
+		got, want = NewPlan(n), NewPlan(n)
+		gdiv, wdiv := make([]tag.Value, n), make([]tag.Value, n)
+		gerr := Sequential.QuasisortPlanInto(got, gdiv, in, sc)
+		if sameErr(t, "quasisort", gerr, refQuasisort(want, wdiv, in)) {
+			samePlan(t, "quasisort", got, want)
+			if !slices.Equal(gdiv, wdiv) {
+				t.Fatalf("quasisort of %v: divided %v, reference %v", in, gdiv, wdiv)
+			}
+			checkApply(t, got, gdiv)
+		}
+		edst := make([]tag.Value, n)
+		gerr = Sequential.EpsDivideInto(edst, in, sc)
+		if sameErr(t, "ε-divide", gerr, refEpsDivide(wdiv, in)) && !slices.Equal(edst, wdiv) {
+			t.Fatalf("ε-divide of %v: %v, reference %v", in, edst, wdiv)
+		}
+	}
+}
+
+// sameErr fails t unless got and want are both nil or carry the same
+// text; it reports whether both are nil.
+func sameErr(t *testing.T, label string, got, want error) bool {
+	t.Helper()
+	if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
+		t.Fatalf("%s: error %v, reference %v", label, got, want)
+	}
+	return got == nil
+}
+
+// samePlan fails t unless got and want hold the same settings.
+func samePlan(t *testing.T, label string, got, want *Plan) {
+	t.Helper()
+	for j := range want.Stages {
+		if !slices.Equal(got.Stages[j], want.Stages[j]) {
+			t.Fatalf("%s: stage %d is %v, reference %v", label, j, got.Stages[j], want.Stages[j])
+		}
+	}
+}
+
+// checkApply checks that Trace, ApplyScratch and ApplyTags agree with
+// the reference walk on p, with a split function and without one (a
+// plan with a broadcast must then fail with the same text).
+func checkApply(t *testing.T, p *Plan, tags []tag.Value) {
+	t.Helper()
+	ids := make([]int, p.N)
+	for i := range ids {
+		ids[i] = i
+	}
+	for _, split := range []func(int) (int, int){func(x int) (int, int) { return x, -x - 1 }, nil} {
+		want, werr := refTrace(p, ids, split)
+		got, gerr := Trace(p, ids, split)
+		if sameErr(t, "Trace", gerr, werr) {
+			for j := range want {
+				if !slices.Equal(got[j], want[j]) {
+					t.Fatalf("Trace row %d is %v, reference %v", j, got[j], want[j])
+				}
+			}
+		}
+		out, aerr := ApplyScratch(p, ids, make([]int, p.N), split)
+		if sameErr(t, "ApplyScratch", aerr, werr) && !slices.Equal(out, want[p.M]) {
+			t.Fatalf("ApplyScratch gives %v, reference %v", out, want[p.M])
+		}
+	}
+	got, gerr := ApplyTags(p, tags)
+	want, werr := refApplyTags(p, tags)
+	if sameErr(t, "ApplyTags", gerr, werr) && !slices.Equal(got, want) {
+		t.Fatalf("ApplyTags(%v) gives %v, reference %v", tags, got, want)
+	}
 }
 
 // lastInvalid returns the last lane of tags for which bad reports true,

@@ -54,11 +54,8 @@ func NewPlan(n int) *Plan {
 
 // Pair returns the two link positions joined by switch w of column j.
 func (p *Plan) Pair(j, w int) (p0, p1 int) {
-	h := 1 << j
-	b := w / h
-	i := w % h
-	base := b * 2 * h
-	return base + i, base + i + h
+	p0 = (w>>j)<<(j+1) | w&(1<<j-1)
+	return p0, p0 + 1<<j
 }
 
 // SwitchIndex returns the column-j switch index joining positions
@@ -111,40 +108,73 @@ func (p *Plan) Validate() error {
 // discarded input is dropped. split may be nil only if the plan contains
 // no broadcast settings.
 func Apply[T any](p *Plan, in []T, split func(T) (T, T)) ([]T, error) {
-	return ApplyScratch(p, in, make([]T, p.N), make([]T, p.N), split)
+	return ApplyScratch(p, in, make([]T, p.N), split)
 }
 
-// ApplyScratch is Apply routing through caller-provided ping-pong
-// buffers a and b (each of length p.N): the returned slice aliases one
-// of them, so a steady loop performs no per-call allocation. in may
-// itself be a or b (the output of a previous ApplyScratch on the same
-// buffers), in which case the copy is skipped.
-func ApplyScratch[T any](p *Plan, in, a, b []T, split func(T) (T, T)) ([]T, error) {
+// ApplyScratch is Apply routing through the caller-provided buffer buf
+// (of length p.N), which it returns: a steady loop performs no per-call
+// allocation. The switches of one column join disjoint link pairs, so
+// every column is applied to buf in place. in may itself be buf (the
+// output of a previous ApplyScratch), in which case the copy is skipped
+// and in is overwritten.
+func ApplyScratch[T any](p *Plan, in, buf []T, split func(T) (T, T)) ([]T, error) {
 	if len(in) != p.N {
 		return nil, fmt.Errorf("rbn: %d inputs for an %d x %d network", len(in), p.N, p.N)
 	}
-	if len(a) != p.N || len(b) != p.N {
-		return nil, fmt.Errorf("rbn: scratch buffers of length %d, %d for an %d x %d network", len(a), len(b), p.N, p.N)
+	if len(buf) != p.N {
+		return nil, fmt.Errorf("rbn: scratch buffer of length %d for an %d x %d network", len(buf), p.N, p.N)
 	}
-	cur, next := a, b
-	if &in[0] == &b[0] {
-		cur, next = b, a
+	if &in[0] != &buf[0] {
+		copy(buf, in)
 	}
-	if &in[0] != &cur[0] {
-		copy(cur, in)
-	}
-	for j := 0; j < p.M; j++ {
-		col := p.Stages[j]
-		for w, s := range col {
-			p0, p1 := p.Pair(j, w)
-			if s.IsBroadcast() && split == nil {
-				return nil, fmt.Errorf("rbn: stage %d switch %d is %v but no split function given", j, w, s)
-			}
-			next[p0], next[p1] = swbox.Apply(s, cur[p0], cur[p1], split)
+	other := splitter(split)
+	for j, col := range p.Stages {
+		if err := applyColumn(col, j, buf, other); err != nil {
+			return nil, err
 		}
-		cur, next = next, cur
 	}
-	return cur, nil
+	return buf, nil
+}
+
+// splitter returns the broadcast handler of Apply, ApplyScratch and
+// Trace: split realizes a broadcast, and a broadcast with no split
+// function is an error.
+func splitter[T any](split func(T) (T, T)) func(j, w int, s swbox.Setting, x0, x1 T) (T, T, error) {
+	return func(j, w int, s swbox.Setting, x0, x1 T) (T, T, error) {
+		if s.IsBroadcast() && split == nil {
+			var zero T
+			return zero, zero, fmt.Errorf("rbn: stage %d switch %d is %v but no split function given", j, w, s)
+		}
+		o0, o1 := swbox.Apply(s, x0, x1, split)
+		return o0, o1, nil
+	}
+}
+
+// applyColumn applies column j to x in place. Switch w joins links
+// p0 = 2w − i and p0 + h, with h = 2^j and i = w mod h (Pair's model;
+// h is a power of two, so the mod is a mask). Parallel switches leave
+// their links as they are and crossings swap them; every other setting
+// goes to other, which returns the switch's two outputs.
+func applyColumn[T any](col []swbox.Setting, j int, x []T, other func(j, w int, s swbox.Setting, x0, x1 T) (T, T, error)) error {
+	h := 1 << j
+	mask := h - 1
+	for w, s := range col {
+		if s == swbox.Parallel {
+			continue
+		}
+		p0 := 2*w - w&mask
+		p1 := p0 + h
+		if s == swbox.Cross {
+			x[p0], x[p1] = x[p1], x[p0]
+			continue
+		}
+		o0, o1, err := other(j, w, s, x[p0], x[p1])
+		if err != nil {
+			return err
+		}
+		x[p0], x[p1] = o0, o1
+	}
+	return nil
 }
 
 // ApplyTags routes tag values through the planned network, enforcing the
@@ -155,19 +185,21 @@ func ApplyTags(p *Plan, in []tag.Value) ([]tag.Value, error) {
 		return nil, fmt.Errorf("rbn: %d input tags for an %d x %d network", len(in), p.N, p.N)
 	}
 	cur := append([]tag.Value(nil), in...)
-	next := make([]tag.Value, p.N)
-	for j := 0; j < p.M; j++ {
-		for w, s := range p.Stages[j] {
-			p0, p1 := p.Pair(j, w)
-			o0, o1, err := swbox.ApplyTags(s, cur[p0], cur[p1])
-			if err != nil {
-				return nil, fmt.Errorf("rbn: stage %d switch %d: %w", j, w, err)
-			}
-			next[p0], next[p1] = o0, o1
+	for j, col := range p.Stages {
+		if err := applyColumn(col, j, cur, checkTags); err != nil {
+			return nil, err
 		}
-		cur, next = next, cur
 	}
 	return cur, nil
+}
+
+// checkTags is ApplyTags' handler for broadcast and invalid settings.
+func checkTags(j, w int, s swbox.Setting, x0, x1 tag.Value) (tag.Value, tag.Value, error) {
+	o0, o1, err := swbox.ApplyTags(s, x0, x1)
+	if err != nil {
+		return 0, 0, fmt.Errorf("rbn: stage %d switch %d: %w", j, w, err)
+	}
+	return o0, o1, nil
 }
 
 // Trace is like Apply but records the item vector after every stage
@@ -180,17 +212,13 @@ func Trace[T any](p *Plan, in []T, split func(T) (T, T)) ([][]T, error) {
 	out := make([][]T, 0, p.M+1)
 	cur := append([]T(nil), in...)
 	out = append(out, cur)
-	for j := 0; j < p.M; j++ {
-		next := make([]T, p.N)
-		for w, s := range p.Stages[j] {
-			p0, p1 := p.Pair(j, w)
-			if s.IsBroadcast() && split == nil {
-				return nil, fmt.Errorf("rbn: stage %d switch %d is %v but no split function given", j, w, s)
-			}
-			next[p0], next[p1] = swbox.Apply(s, cur[p0], cur[p1], split)
+	other := splitter(split)
+	for j, col := range p.Stages {
+		cur = append([]T(nil), cur...)
+		if err := applyColumn(col, j, cur, other); err != nil {
+			return nil, err
 		}
-		out = append(out, next)
-		cur = next
+		out = append(out, cur)
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package rbn
 
 import (
+	"math/rand"
 	"testing"
 
 	"brsmn/internal/swbox"
@@ -36,6 +37,19 @@ func TestPlanGeometry(t *testing.T) {
 	// SwitchIndex inverts Pair's block addressing.
 	if w := p.SwitchIndex(1, 8, 1); w != 5 {
 		t.Fatalf("SwitchIndex(1, 8, 1) = %d, want 5", w)
+	}
+	// Pair's shift-and-mask form matches the block arithmetic of the
+	// package doc at every switch.
+	for n := 2; n <= 1024; n *= 2 {
+		p := NewPlan(n)
+		for j := 0; j < p.M; j++ {
+			for w := 0; w < n/2; w++ {
+				g0, g1 := p.Pair(j, w)
+				if w0, w1 := refPair(j, w); g0 != w0 || g1 != w1 {
+					t.Fatalf("n=%d: Pair(%d, %d) = (%d, %d), want (%d, %d)", n, j, w, g0, g1, w0, w1)
+				}
+			}
+		}
 	}
 }
 
@@ -154,5 +168,44 @@ func TestCountSettingsAndString(t *testing.T) {
 	}
 	if c[swbox.UpperBcast]+c[swbox.LowerBcast] != 1 {
 		t.Fatalf("one α/ε pair should use one broadcast, tally %v", c)
+	}
+}
+
+// TestApplyMatchesReference checks Trace, ApplyScratch and ApplyTags
+// against the reference walk on plans with random settings of all four
+// kinds, so that broadcasts meet illegal tag pairs and a nil split; an
+// out-of-range setting must give ApplyTags the reference's error text.
+func TestApplyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for n := 2; n <= 128; n *= 2 {
+		for trial := 0; trial < 20; trial++ {
+			p := NewPlan(n)
+			for _, col := range p.Stages {
+				for w := range col {
+					// Mostly unicast, so some plans get through ApplyTags.
+					col[w] = swbox.Setting(rng.Intn(2))
+					if rng.Intn(4*n) == 0 {
+						col[w] = swbox.Setting(2 + rng.Intn(2))
+					}
+				}
+			}
+			tags := make([]tag.Value, n)
+			for i := range tags {
+				tags[i] = tag.Value(rng.Intn(6))
+			}
+			checkApply(t, p, tags)
+			j, w := rng.Intn(p.M), rng.Intn(n/2)
+			p.Stages[j][w] = swbox.Setting(4)
+			_, gerr := ApplyTags(p, tags)
+			_, werr := refApplyTags(p, tags)
+			sameErr(t, "ApplyTags with an invalid setting", gerr, werr)
+		}
+	}
+	// A broadcast with no split function.
+	p := NewPlan(8)
+	p.Stages[2][3] = swbox.LowerBcast
+	checkApply(t, p, []tag.Value{tag.V0, tag.V1, tag.Eps, tag.Eps, tag.V0, tag.V1, tag.Eps, tag.Alpha})
+	if _, err := Apply(p, make([]int, 8), nil); err == nil || err.Error() != "rbn: stage 2 switch 3 is lbcast but no split function given" {
+		t.Fatalf("Apply with a nil split: %v", err)
 	}
 }

@@ -27,14 +27,6 @@ func ScatterPlan(n int, tags []tag.Value, s int) (*Plan, error) {
 	return Sequential.ScatterPlan(n, tags, s)
 }
 
-// scatterNode is the forward-phase value of one tree node: the surplus
-// count l of the dominating idle/split type and the type itself (tag.Eps
-// or tag.Alpha). A node with l == 0 canonically reports type ε.
-type scatterNode struct {
-	l   int
-	typ tag.Value
-}
-
 // ScatterPlan is the engine-parameterized form of the package-level
 // function.
 func (e Engine) ScatterPlan(n int, tags []tag.Value, s int) (*Plan, error) {
@@ -67,19 +59,22 @@ func (e Engine) ScatterPlanInto(p *Plan, tags []tag.Value, s int, sc *Scratch) e
 	sc.ensure(n)
 	m := p.M
 
-	// Forward phase (Table 4): leaves report (1, α) for α inputs,
-	// (1, ε) for idle inputs and (0, ε) for 0/1 (χ) inputs; internal
-	// nodes add same-type surpluses and cancel opposite-type ones.
-	fwd := sc.fwd
+	// Forward phase (Table 4): each node's signed surplus d = nα − nε
+	// carries Table 4's pair (l, type): l = |d|, and the dominating type
+	// is α when d > 0 and ε otherwise (a node with l == 0 reports ε).
+	// Leaves hold +1 for α, −1 for idle inputs and 0 for 0/1 (χ) inputs;
+	// a sum adds same-type surpluses and cancels opposite-type ones.
+	sur := sc.sur
+	leaf := sur[0][:n]
 	invalid := false
 	for i, v := range tags {
 		switch {
 		case v == tag.Alpha:
-			fwd[0][i] = scatterNode{1, tag.Alpha}
+			leaf[i] = 1
 		case v.IsEps():
-			fwd[0][i] = scatterNode{1, tag.Eps}
+			leaf[i] = -1
 		case v.IsChi():
-			fwd[0][i] = scatterNode{0, tag.Eps}
+			leaf[i] = 0
 		default:
 			invalid = true
 		}
@@ -87,76 +82,49 @@ func (e Engine) ScatterPlanInto(p *Plan, tags []tag.Value, s int, sc *Scratch) e
 	if invalid {
 		return scatterInvalidInputError(tags)
 	}
-	for j := 1; j <= m; j++ {
-		prev, cur := fwd[j-1], fwd[j][:n>>j]
-		for b := range cur {
-			c0, c1 := prev[2*b], prev[2*b+1]
-			switch {
-			case c0.typ == c1.typ:
-				cur[b] = scatterNode{c0.l + c1.l, c0.typ}
-			case c0.l >= c1.l:
-				cur[b] = scatterNode{c0.l - c1.l, c0.typ}
-			default:
-				cur[b] = scatterNode{c1.l - c0.l, c1.typ}
-			}
-			if cur[b].l == 0 {
-				cur[b].typ = tag.Eps
-			}
-		}
-	}
+	sumUp(sur, n)
 
 	// Backward phase + switch-setting phase (Table 4).
 	ss := sc.ss
 	ss[m][0] = s
 	for j := m; j >= 1; j-- {
-		h := 1 << (j - 1) // switches per node; node size n' = 2h
-		child, fprev, col := ss[j-1], fwd[j-1], p.Stages[j-1]
+		k := uint(j - 1) // the node's h = 2^k switches; node size n' = 2h
+		h := 1 << k
+		mask := h - 1
+		child, dprev, col := ss[j-1], sur[j-1], p.Stages[j-1]
 		for b, sNode := range ss[j][:n>>j] {
-			lNode := fwd[j][b].l
-			c0, c1 := fprev[2*b], fprev[2*b+1]
-			base := b * h
-			if c0.typ == c1.typ {
+			d0, d1 := dprev[2*b], dprev[2*b+1]
+			dst := col[b<<k : (b+1)<<k]
+			if (d0 > 0) == (d1 > 0) {
 				// ε/α-addition: Lemma 1 with l = l0 + l1.
-				s1 := (sNode + c0.l) % h
-				bset := swbox.Setting(((sNode + c0.l) / h) % 2)
-				child[2*b] = sNode % h
-				child[2*b+1] = s1
-				for i := 0; i < h; i++ {
-					if i < s1 {
-						col[base+i] = bset
-					} else {
-						col[base+i] = bset.Opposite()
-					}
-				}
+				child[2*b], child[2*b+1] = lemma1(dst, k, sNode, abs(d0))
 				continue
 			}
 			// ε/α-elimination: Lemmas 2–5. The child with the smaller
 			// surplus has all of it cancelled by broadcast switches; the
 			// larger child's remaining run is routed unicast to form
 			// C_{s,l} at this node's outputs.
+			l0, l1, lNode := abs(d0), abs(d1), abs(d0+d1)
 			var s0, s1 int
 			var stmp, ltmp int
 			var ucast swbox.Setting
-			if c0.l >= c1.l {
-				s0 = sNode % h
-				s1 = (sNode + lNode) % h
-				stmp, ltmp = s1, c1.l
+			if l0 >= l1 {
+				s0 = sNode & mask
+				s1 = (sNode + lNode) & mask
+				stmp, ltmp = s1, l1
 				ucast = swbox.Parallel
 			} else {
-				s0 = (sNode + lNode) % h
-				s1 = sNode % h
-				stmp, ltmp = s0, c0.l
+				s0 = (sNode + lNode) & mask
+				s1 = sNode & mask
+				stmp, ltmp = s0, l0
 				ucast = swbox.Cross
 			}
 			child[2*b] = s0
 			child[2*b+1] = s1
-			var bcast swbox.Setting
-			if c0.typ == tag.Alpha {
+			bcast := swbox.LowerBcast
+			if d0 > 0 { // the upper child's surplus is α
 				bcast = swbox.UpperBcast
-			} else {
-				bcast = swbox.LowerBcast
 			}
-			dst := col[base : base+h]
 			switch {
 			case sNode+lNode < h:
 				seq.CompactInto(dst, stmp, ltmp, ucast, bcast)
@@ -170,6 +138,14 @@ func (e Engine) ScatterPlanInto(p *Plan, tags []tag.Value, s int, sc *Scratch) e
 		}
 	}
 	return nil
+}
+
+// abs returns |x|.
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // scatterInvalidInputError is the scatter leaf validation error: the

@@ -2,25 +2,30 @@ package rbn
 
 import "brsmn/internal/shuffle"
 
-// Scratch holds the per-sweep working state of the three setting
-// algorithms — the forward/backward tree arrays of ScatterPlan,
-// BitSortPlan and EpsDivide plus the sort-bit vector of QuasisortPlan —
-// sized once and recycled across calls, so a steady planning loop
-// performs zero per-plan allocations.
+// Scratch holds the per-sweep tree arrays of the three setting
+// algorithms, sized once and recycled across calls, so a steady planning
+// loop performs zero per-plan allocations. Row j of each array holds one
+// entry per level-j node of the tree embedded in the RBN (n>>j nodes):
+//
+//   - sur: ScatterPlan's forward sweep, each node's signed surplus
+//     nα − nε (Table 4's l and type in one number);
+//   - cnt: BitSortPlan's forward γ counts, or for EpsDivide and
+//     QuasisortPlan each node's ε count (low 32 bits) and real-1 count
+//     (high 32 bits), so one sum serves both reductions;
+//   - ne0: the dummy-0 budget each node receives in Table 6's backward
+//     sweep (its dummy-1 budget is its ε count minus that);
+//   - ss: the starting position each node receives in the backward
+//     sweeps of Tables 3, 4 and the quasisort.
 //
 // A Scratch grows on demand: computing a plan for n' <= n reuses the
 // prefixes of the level arrays. The zero value is ready to use (it
 // allocates on first use); a Scratch is not safe for concurrent use.
 type Scratch struct {
-	n     int
-	fwd   [][]scatterNode // scatter forward phase, levels 0..m
-	ss    [][]int         // backward starting positions (scatter and bit sort)
-	ls    [][]int         // bit-sort forward γ counts
-	ne    [][]int         // ε-divide: per-node ε counts
-	n1s   [][]int         // ε-divide: per-node real-1 counts
-	ne0   [][]int         // ε-divide: dummy-0 budgets
-	ne1   [][]int         // ε-divide: dummy-1 budgets
-	gamma []bool          // QuasisortPlanInto's sort bits of the ε-divided vector
+	n   int
+	sur [][]int
+	cnt [][]uint64
+	ne0 [][]int
+	ss  [][]int
 }
 
 // NewScratch returns a scratch pre-sized for n x n sweeps.
@@ -36,22 +41,15 @@ func (s *Scratch) ensure(n int) {
 		return
 	}
 	m := shuffle.Log2(n)
-	s.fwd = make([][]scatterNode, m+1)
-	s.ss = make([][]int, m+1)
-	s.ls = make([][]int, m+1)
-	s.ne = make([][]int, m+1)
-	s.n1s = make([][]int, m+1)
+	s.sur = make([][]int, m+1)
+	s.cnt = make([][]uint64, m+1)
 	s.ne0 = make([][]int, m+1)
-	s.ne1 = make([][]int, m+1)
+	s.ss = make([][]int, m+1)
 	for j := 0; j <= m; j++ {
-		s.fwd[j] = make([]scatterNode, n>>j)
-		s.ss[j] = make([]int, n>>j)
-		s.ls[j] = make([]int, n>>j)
-		s.ne[j] = make([]int, n>>j)
-		s.n1s[j] = make([]int, n>>j)
+		s.sur[j] = make([]int, n>>j)
+		s.cnt[j] = make([]uint64, n>>j)
 		s.ne0[j] = make([]int, n>>j)
-		s.ne1[j] = make([]int, n>>j)
+		s.ss[j] = make([]int, n>>j)
 	}
-	s.gamma = make([]bool, n)
 	s.n = n
 }
