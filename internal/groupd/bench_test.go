@@ -94,48 +94,113 @@ func BenchmarkJoinLeave(b *testing.B) {
 	}
 }
 
-// BenchmarkRunEpochSteady is one steady-state epoch at n = 1024: 2,000
-// groups (seeded sizes 1-16, sources drawn at random, so the schedule
-// has real conflicts) with one join or leave between epochs. It prices
-// the whole epoch — schedule, the rounds the previous epoch did not
-// already route, and the per-group plan-cache pass with one replan.
+// BenchmarkRunEpochSteady is one steady-state epoch at n = 1024 over
+// 2,000 groups with random sources, so the schedule has real conflicts.
+// It prices the whole epoch — schedule, the rounds the previous epoch
+// did not already route, and the per-group plan-cache pass with its
+// replans — and reports the rounds routed and reused per epoch.
+//
+//   - uniform: sizes 1-16, one join or leave on one group per epoch;
+//   - zipf: brsmnload's default model — sizes 1 + Zipf(1.3, 2) capped at
+//     n/2, and 12 joins or leaves per epoch on groups picked by Zipf
+//     popularity — the population the epoch-on benchmark workload
+//     serves.
 func BenchmarkRunEpochSteady(b *testing.B) {
 	const (
 		n      = 1024
 		groups = 2000
 	)
+	b.Run("uniform", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		m := epochBenchManager(b, n, groups, rng, func() int { return 1 + rng.Intn(16) })
+		info, err := m.Get("g0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		d := 0 // an output g0 does not serve, toggled in and out
+		for slices.Contains(info.Members, d) {
+			d++
+		}
+		runEpochBench(b, m, func(i int) error {
+			if i%2 == 0 {
+				_, err = m.Join("g0", d)
+			} else {
+				_, err = m.Leave("g0", d)
+			}
+			return err
+		})
+	})
+	b.Run("zipf", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		z := rand.NewZipf(rng, 1.3, 2, uint64(n/2-1))
+		m := epochBenchManager(b, n, groups, rng, func() int { return 1 + int(z.Uint64()) })
+		members := make([][]int, groups)
+		for g := range members {
+			info, err := m.Get(fmt.Sprintf("g%d", g))
+			if err != nil {
+				b.Fatal(err)
+			}
+			members[g] = info.Members
+		}
+		rank := rng.Perm(groups)
+		pop := rand.NewZipf(rng, 1.3, 2, uint64(groups-1))
+		runEpochBench(b, m, func(int) error {
+			for c := 0; c < 12; c++ {
+				g := rank[pop.Uint64()]
+				id, ms := fmt.Sprintf("g%d", g), members[g]
+				if len(ms) > 1 && rng.Intn(2) == 0 { // leave, never emptying the group
+					i := rng.Intn(len(ms))
+					if _, err := m.Leave(id, ms[i]); err != nil {
+						return err
+					}
+					ms[i] = ms[len(ms)-1]
+					members[g] = ms[:len(ms)-1]
+					continue
+				}
+				d := rng.Intn(n)
+				for slices.Contains(ms, d) {
+					d = rng.Intn(n)
+				}
+				if _, err := m.Join(id, d); err != nil {
+					return err
+				}
+				members[g] = append(ms, d)
+			}
+			return nil
+		})
+	})
+}
+
+// epochBenchManager builds an n-port manager holding groups groups "g0",
+// "g1", ... with random sources and size() members each, and runs one
+// epoch to route every round and fill the plan cache.
+func epochBenchManager(b *testing.B, n, groups int, rng *rand.Rand, size func() int) *Manager {
+	b.Helper()
 	m, err := NewManager(Config{N: n, Engine: rbn.Sequential, CacheSize: 4096, Metrics: obs.NewRegistry()})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { m.Close() })
-	rng := rand.New(rand.NewSource(1))
 	for g := 0; g < groups; g++ {
-		if _, err := m.Create(fmt.Sprintf("g%d", g), rng.Intn(n), rng.Perm(n)[:1+rng.Intn(16)]); err != nil {
+		if _, err := m.Create(fmt.Sprintf("g%d", g), rng.Intn(n), rng.Perm(n)[:size()]); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if _, err := m.RunEpoch(); err != nil { // route every round, fill the cache
+	if _, err := m.RunEpoch(); err != nil {
 		b.Fatal(err)
 	}
-	info, err := m.Get("g0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := 0 // an output g0 does not serve, toggled in and out
-	for slices.Contains(info.Members, d) {
-		d++
-	}
+	return m
+}
+
+// runEpochBench times change(i) followed by one epoch, b.N times, and
+// reports the rounds routed and reused per epoch.
+func runEpochBench(b *testing.B, m *Manager, change func(i int) error) {
+	b.Helper()
 	routed0, reused0 := m.met.roundsRouted.Value(), m.met.roundsReused.Value()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			_, err = m.Join("g0", d)
-		} else {
-			_, err = m.Leave("g0", d)
-		}
-		if err != nil {
+		if err := change(i); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := m.RunEpoch(); err != nil {
@@ -250,5 +315,37 @@ func TestJoinLeaveAllocsLogN(t *testing.T) {
 	t.Logf("managed join+leave allocations at n=4096: %v", managed)
 	if managed > 8 {
 		t.Fatalf("managed join/leave allocates %v objects per round trip", managed)
+	}
+}
+
+// TestUnchangedEpochAllocs pins the cost of an epoch in which nothing
+// changed: every round is reused and every plan hits, so the epoch
+// allocates per epoch (the snapshot, the schedule, the report), never
+// per group or per round. Eight times the groups may add only the
+// schedule's few extra growth steps.
+func TestUnchangedEpochAllocs(t *testing.T) {
+	const n = 64
+	allocsAt := func(groups int) (float64, int) {
+		m := newTestManager(t, Config{N: n, Engine: rbn.Sequential, CacheSize: 4096})
+		rng := rand.New(rand.NewSource(5))
+		for g := 0; g < groups; g++ {
+			mustCreate(t, m, fmt.Sprintf("g%d", g), rng.Intn(n), rng.Perm(n)[:1+rng.Intn(12)])
+		}
+		rep, err := m.RunEpoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := m.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+		}), len(rep.Rounds)
+	}
+	small, smallRounds := allocsAt(40)
+	large, largeRounds := allocsAt(320)
+	t.Logf("unchanged epoch: %v allocs over %d rounds, %v over %d rounds", small, smallRounds, large, largeRounds)
+	if large > small+4 {
+		t.Fatalf("unchanged epoch allocations grew with the population: %v at %d rounds, %v at %d rounds",
+			small, smallRounds, large, largeRounds)
 	}
 }

@@ -49,7 +49,16 @@ type EpochReport struct {
 // holds more than one epoch's rounds; epochMu guards it.
 type roundMemo struct {
 	version uint64
-	rows    map[string][]int // round content -> Deliveries
+	rows    map[string]memoRow // round content -> routed row
+	key     []byte             // roundKey scratch, reused across epochs
+}
+
+// memoRow is one memoized round. It keeps its key string so the next
+// epoch's memo can hold a reused round under the same string instead of
+// allocating a new one.
+type memoRow struct {
+	key        string
+	deliveries []int
 }
 
 // RunEpoch executes one reroute epoch synchronously: snapshot the live
@@ -104,32 +113,30 @@ func (m *Manager) epochOver(start time.Time, snaps []groupSnapshot) (*EpochRepor
 	if m.memo.version != pv {
 		prev = nil
 	}
-	next := make(map[string][]int, len(roundIdx))
+	next := make(map[string]memoRow, len(roundIdx))
 	rep := &EpochReport{
 		When:   start,
 		Groups: len(live),
 		Rounds: make([]RoundReport, len(roundIdx)),
 	}
-	owner := make([]int, m.cfg.N)
-	for i := range owner {
-		owner[i] = -1
-	}
+	ids := make([]string, len(live)) // every round's GroupIDs, carved in round order
 	var (
-		key        []byte
+		key        = m.memo.key
 		missIdx    []int    // rounds to route, by report index
 		missKeys   []string // their content keys
 		missRounds [][]sched.Request
 	)
 	for r, members := range roundIdx {
-		ids := make([]string, len(members))
+		rids := ids[:len(members):len(members)]
+		ids = ids[len(members):]
 		for i, k := range members {
-			ids[i] = live[k].id
+			rids[i] = live[k].id
 		}
-		rep.Rounds[r].GroupIDs = ids
-		key = roundKey(key[:0], owner, reqs, members)
-		if vec, ok := prev[string(key)]; ok {
-			rep.Rounds[r].Deliveries = vec
-			next[string(key)] = vec
+		rep.Rounds[r].GroupIDs = rids
+		key = roundKey(key[:0], reqs, members)
+		if row, ok := prev[string(key)]; ok {
+			rep.Rounds[r].Deliveries = row.deliveries
+			next[row.key] = row
 			continue
 		}
 		round := make([]sched.Request, len(members))
@@ -176,10 +183,11 @@ func (m *Manager) epochOver(start time.Time, snaps []groupSnapshot) (*EpochRepor
 				rep.DegradedRounds++
 				continue
 			}
-			next[missKeys[sr.Index]] = vec
+			k := missKeys[sr.Index]
+			next[k] = memoRow{key: k, deliveries: vec}
 		}
 	}
-	m.memo = roundMemo{version: pv, rows: next}
+	m.memo = roundMemo{version: pv, rows: next, key: key}
 
 	for _, sn := range live {
 		rep.Fanout += len(sn.members)
@@ -213,25 +221,21 @@ func (m *Manager) epochOver(start time.Time, snaps []groupSnapshot) (*EpochRepor
 	return rep, nil
 }
 
-// roundKey appends to dst the content key of one scheduled round: its
-// per-output owner vector (output -> source, -1 idle), encoded as the
-// active (output, source) pairs in output order. Content, not group
-// identity, decides reuse — a deleted and recreated group restarts at
-// generation 1 with different members. owner is all -1 scratch of
-// length n and is left that way.
-func roundKey(dst []byte, owner []int, reqs []sched.Request, members []int) []byte {
+// roundKey appends to dst the content key of one scheduled round: for
+// each member in round order, its source, its destination count and its
+// destinations, as uvarints. The encoding is prefix-free, so equal keys
+// mean equal request lists and hence equal assignments. It costs the
+// round's fanout, not n. Content, not group identity, decides reuse — a
+// deleted and recreated group restarts at generation 1 with different
+// members.
+func roundKey(dst []byte, reqs []sched.Request, members []int) []byte {
 	for _, k := range members {
-		for _, d := range reqs[k].Dests {
-			owner[d] = reqs[k].Source
+		r := reqs[k]
+		dst = binary.AppendUvarint(dst, uint64(r.Source))
+		dst = binary.AppendUvarint(dst, uint64(len(r.Dests)))
+		for _, d := range r.Dests {
+			dst = binary.AppendUvarint(dst, uint64(d))
 		}
-	}
-	for out, src := range owner {
-		if src < 0 {
-			continue
-		}
-		dst = binary.AppendUvarint(dst, uint64(out))
-		dst = binary.AppendUvarint(dst, uint64(src))
-		owner[out] = -1
 	}
 	return dst
 }

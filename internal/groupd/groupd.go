@@ -24,7 +24,9 @@ package groupd
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,6 +135,12 @@ type session struct {
 	group *brsmn.Group
 	gen   uint64
 	gone  bool // deleted from the registry while a caller still holds it
+	// members is the sorted member list materialized at generation
+	// membersGen (0: never). Every tree change bumps gen or replaces the
+	// session, so the list is rebuilt only after a change; it is shared
+	// read-only with epoch snapshots and never written in place.
+	members    []int
+	membersGen uint64
 	// chg is a ring of the session's most recent membership changes,
 	// indexed by the generation each produced (chg[gen%chgRing]); the
 	// plan-patch path replays it to roll a retained route forward.
@@ -408,14 +416,33 @@ func (m *Manager) Get(id string) (GroupInfo, error) {
 func (s *session) info() GroupInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// The caller gets its own copy. Only snapshots fill the cached list,
+	// so a manager that never runs an epoch retains none.
+	members := s.members
+	if s.membersGen == s.gen {
+		members = slices.Clone(members)
+	} else {
+		members = s.group.Members()
+	}
 	return GroupInfo{
 		ID:       s.id,
 		Source:   s.group.Source(),
 		Gen:      s.gen,
 		Size:     s.group.Len(),
-		Members:  s.group.Members(),
+		Members:  members,
 		Sequence: s.group.Sequence(),
 	}
+}
+
+// memberList returns the session's members at its current generation,
+// walking the tag tree only when the generation moved since the last
+// snapshot. The slice is shared: callers must not modify it. s.mu is
+// held.
+func (s *session) memberList() []int {
+	if s.membersGen != s.gen {
+		s.members, s.membersGen = s.group.Members(), s.gen
+	}
+	return s.members
 }
 
 // List returns every registered group's state, sorted by ID.
@@ -571,7 +598,8 @@ func (m *Manager) replan(id string, source int, members []int) ([]byte, int, err
 	return blob, len(cols), nil
 }
 
-// groupSnapshot is one group's membership frozen at epoch start.
+// groupSnapshot is one group's membership frozen at epoch start. members
+// is shared with the session and must not be modified.
 type groupSnapshot struct {
 	id      string
 	source  int
@@ -580,7 +608,9 @@ type groupSnapshot struct {
 }
 
 // snapshot freezes every registered group's state, sorted by ID so epoch
-// scheduling is deterministic for a given membership.
+// scheduling is deterministic for a given membership. Member lists are
+// the sessions' shared per-generation lists (read-only), so only groups
+// that changed since the last snapshot walk their tag trees.
 func (m *Manager) snapshot() []groupSnapshot {
 	sessions := m.sessions()
 	out := make([]groupSnapshot, 0, len(sessions))
@@ -590,10 +620,10 @@ func (m *Manager) snapshot() []groupSnapshot {
 			id:      s.id,
 			source:  s.group.Source(),
 			gen:     s.gen,
-			members: s.group.Members(),
+			members: s.memberList(),
 		})
 		s.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	slices.SortFunc(out, func(a, b groupSnapshot) int { return strings.Compare(a.id, b.id) })
 	return out
 }

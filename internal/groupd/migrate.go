@@ -29,6 +29,8 @@ var ErrGenMismatch = errors.New("groupd: generation changed since export")
 // Export freezes every registered group into snapshot form, paired with
 // its warm current-generation healthy-fabric plan when the cache holds
 // one (plans[i] is nil otherwise). The two slices are index-aligned.
+// Each Members slice is the session's shared list and must not be
+// modified.
 func (m *Manager) Export() ([]store.GroupState, []*store.PlanState) {
 	snaps := m.snapshot()
 	groups := make([]store.GroupState, 0, len(snaps))

@@ -14,7 +14,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"brsmn/internal/core"
 	"brsmn/internal/mcast"
@@ -30,21 +30,37 @@ type Request struct {
 
 // Validate checks the request against an n-port network.
 func (r Request) Validate(n int) error {
+	// Size the seen-set by the largest destination the check can reach
+	// (those before the first out-of-range one), not by n.
+	hi := 0
+	for _, d := range r.Dests {
+		if d < 0 || d >= n {
+			break
+		}
+		hi = max(hi, d)
+	}
+	return r.validate(n, make([]uint64, hi>>6+1))
+}
+
+// validate is Validate with a caller-held seen-set: a bitset over the
+// outputs, all zero on entry. On success it is left marking r.Dests, so
+// a caller checking a batch clears those words and reuses it.
+func (r Request) validate(n int, seen []uint64) error {
 	if r.Source < 0 || r.Source >= n {
 		return fmt.Errorf("sched: source %d out of range [0,%d)", r.Source, n)
 	}
 	if len(r.Dests) == 0 {
 		return fmt.Errorf("sched: request from %d has no destinations", r.Source)
 	}
-	seen := make(map[int]bool, len(r.Dests))
 	for _, d := range r.Dests {
 		if d < 0 || d >= n {
 			return fmt.Errorf("sched: request from %d has destination %d out of range", r.Source, d)
 		}
-		if seen[d] {
+		w, b := d>>6, uint64(1)<<(d&63)
+		if seen[w]&b != 0 {
 			return fmt.Errorf("sched: request from %d lists destination %d twice", r.Source, d)
 		}
-		seen[d] = true
+		seen[w] |= b
 	}
 	return nil
 }
@@ -97,61 +113,99 @@ func ScheduleIndices(n int, reqs []Request) ([][]int, error) {
 }
 
 // scheduleIdx is Schedule returning request indices per round.
+//
+// The rounds are kept transposed, as one bitset over rounds per port:
+// busy holds them 64 rounds to a word, word j of every port in one
+// contiguous row of 2n words (outputs at p < n, sources at n + s). A
+// request's first fit in rounds 64j..64j+63 is then the lowest zero bit
+// of the OR of its source's and destinations' words in row j, so one
+// pass over its ports tests 64 rounds at once, and the pass stops early
+// once the OR is all ones: no round of that row can take the request.
 func scheduleIdx(n int, reqs []Request) ([][]int, error) {
+	if len(reqs) == 0 {
+		return [][]int{}, nil
+	}
+	if n <= 0 {
+		return nil, reqs[0].Validate(n)
+	}
+	seen := make([]uint64, (n+63)>>6)
+	maxK := 0
 	for _, r := range reqs {
-		if err := r.Validate(n); err != nil {
+		if err := r.validate(n, seen); err != nil {
 			return nil, err
 		}
+		for _, d := range r.Dests {
+			seen[d>>6] = 0
+		}
+		maxK = max(maxK, len(r.Dests))
+	}
+
+	// Decreasing fanout, batch order among equals: a stable counting
+	// sort on maxK - fanout.
+	start := make([]int, maxK+1)
+	for _, r := range reqs {
+		start[maxK-len(r.Dests)+1]++
+	}
+	for b := 1; b <= maxK; b++ {
+		start[b] += start[b-1]
 	}
 	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
+	for i, r := range reqs {
+		b := maxK - len(r.Dests)
+		order[start[b]] = i
+		start[b]++
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return len(reqs[order[a]].Dests) > len(reqs[order[b]].Dests)
-	})
 
-	type roundState struct {
-		members []int
-		outUsed []bool
-		srcUsed []bool
-	}
-	var rounds []*roundState
-place:
+	var (
+		busy    []uint64
+		rounds  int
+		roundOf = make([]int, len(reqs))
+	)
 	for _, idx := range order {
 		r := reqs[idx]
-		for _, rd := range rounds {
-			if rd.srcUsed[r.Source] {
-				continue
-			}
-			ok := true
+		rd := rounds // a new round unless an open one fits
+		for j := 0; j<<6 < rounds; j++ {
+			row := busy[j*2*n : (j+1)*2*n]
+			acc := row[n+r.Source]
 			for _, d := range r.Dests {
-				if rd.outUsed[d] {
-					ok = false
+				if acc |= row[d]; acc == ^uint64(0) {
 					break
 				}
 			}
-			if !ok {
-				continue
+			if acc != ^uint64(0) {
+				rd = j<<6 + bits.TrailingZeros64(^acc)
+				break
 			}
-			rd.srcUsed[r.Source] = true
-			for _, d := range r.Dests {
-				rd.outUsed[d] = true
-			}
-			rd.members = append(rd.members, idx)
-			continue place
 		}
-		rd := &roundState{outUsed: make([]bool, n), srcUsed: make([]bool, n)}
-		rd.srcUsed[r.Source] = true
+		if rd == rounds {
+			if rounds&63 == 0 {
+				busy = append(busy, make([]uint64, 2*n)...)
+			}
+			rounds++
+		}
+		row, bit := busy[(rd>>6)*2*n:(rd>>6+1)*2*n], uint64(1)<<(rd&63)
+		row[n+r.Source] |= bit
 		for _, d := range r.Dests {
-			rd.outUsed[d] = true
+			row[d] |= bit
 		}
-		rd.members = append(rd.members, idx)
-		rounds = append(rounds, rd)
+		roundOf[idx] = rd
 	}
-	out := make([][]int, len(rounds))
-	for i, rd := range rounds {
-		out[i] = rd.members
+
+	// Each round's members in placement order, carved from one array.
+	size := make([]int, rounds)
+	for _, rd := range roundOf {
+		size[rd]++
+	}
+	out := make([][]int, rounds)
+	flat := make([]int, len(reqs))
+	off := 0
+	for rd, c := range size {
+		out[rd] = flat[off : off : off+c]
+		off += c
+	}
+	for _, idx := range order {
+		rd := roundOf[idx]
+		out[rd] = append(out[rd], idx)
 	}
 	return out, nil
 }
@@ -165,7 +219,9 @@ func Assignments(n int, rounds [][]Request) ([]mcast.Assignment, error) {
 			if dests[r.Source] != nil {
 				return nil, fmt.Errorf("sched: round %d uses source %d twice", i, r.Source)
 			}
-			dests[r.Source] = append([]int(nil), r.Dests...)
+			if len(r.Dests) > 0 { // mcast.New copies the lists
+				dests[r.Source] = r.Dests
+			}
 		}
 		a, err := mcast.New(n, dests)
 		if err != nil {
