@@ -654,9 +654,8 @@ func BenchmarkZipfTraffic(b *testing.B) {
 // BenchmarkRouteReuse isolates the planning pipeline's allocation
 // regimes: a cold network construction per routing, the concurrency-safe
 // Network.Route (pooled planner + one detaching clone per call), a
-// reused Planner (steady-state zero-allocation routing; results alias
-// planner storage), and the reused planner with the parallel sub-network
-// recursion enabled.
+// and a reused Planner (steady-state zero-allocation routing; results
+// alias planner storage).
 func BenchmarkRouteReuse(b *testing.B) {
 	for _, n := range []int{1024, 4096} {
 		as := benchAssignments(n)
@@ -688,19 +687,6 @@ func BenchmarkRouteReuse(b *testing.B) {
 		b.Run(fmt.Sprintf("planner/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			p, err := brsmn.NewPlanner(n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Route(as[i%len(as)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("planner-parallel/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			p, err := brsmn.NewPlanner(n, brsmn.WithParallelSetting(4))
 			if err != nil {
 				b.Fatal(err)
 			}

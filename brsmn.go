@@ -8,7 +8,6 @@ import (
 	"brsmn/internal/feedback"
 	"brsmn/internal/mcast"
 	"brsmn/internal/permnet"
-	"brsmn/internal/rbn"
 	"brsmn/internal/workload"
 	"brsmn/internal/xbar"
 )
@@ -49,31 +48,6 @@ func BroadcastAssignment(n, src int) (Assignment, error) {
 	return mcast.Broadcast(n, src)
 }
 
-// config carries construction options.
-type config struct {
-	engine rbn.Engine
-}
-
-// Option configures network construction.
-type Option func(*config)
-
-// WithParallelSetting routes the two independent half-size sub-BRSMNs
-// of each level concurrently, forking up to workers goroutines (capped
-// at GOMAXPROCS). The setting sweeps themselves run on the routing
-// goroutine. workers <= 1 is sequential; plans are bit-identical either
-// way.
-func WithParallelSetting(workers int) Option {
-	return func(c *config) { c.engine = rbn.Engine{Workers: workers} }
-}
-
-func buildConfig(opts []Option) config {
-	c := config{engine: rbn.Sequential}
-	for _, o := range opts {
-		o(&c)
-	}
-	return c
-}
-
 // Network is an n x n BRSMN — the unrolled network of the paper's main
 // construction.
 type Network struct {
@@ -81,9 +55,8 @@ type Network struct {
 }
 
 // New returns an n x n BRSMN (n a power of two >= 2).
-func New(n int, opts ...Option) (*Network, error) {
-	c := buildConfig(opts)
-	inner, err := core.New(n, c.engine)
+func New(n int) (*Network, error) {
+	inner, err := core.New(n)
 	if err != nil {
 		return nil, err
 	}
@@ -121,11 +94,9 @@ type Planner struct {
 	inner *core.Planner
 }
 
-// NewPlanner returns a reusable planner for an n x n BRSMN. Options are
-// the same as New.
-func NewPlanner(n int, opts ...Option) (*Planner, error) {
-	c := buildConfig(opts)
-	inner, err := core.NewPlanner(n, c.engine)
+// NewPlanner returns a reusable planner for an n x n BRSMN.
+func NewPlanner(n int) (*Planner, error) {
+	inner, err := core.NewPlanner(n)
 	if err != nil {
 		return nil, err
 	}
@@ -152,9 +123,8 @@ type FeedbackNetwork struct {
 }
 
 // NewFeedback returns an n x n feedback BRSMN.
-func NewFeedback(n int, opts ...Option) (*FeedbackNetwork, error) {
-	c := buildConfig(opts)
-	inner, err := feedback.New(n, c.engine)
+func NewFeedback(n int) (*FeedbackNetwork, error) {
+	inner, err := feedback.New(n)
 	if err != nil {
 		return nil, err
 	}
@@ -183,9 +153,8 @@ func (nw *FeedbackNetwork) HardwareSwitches() int { return nw.inner.HardwareSwit
 // specialization of the network (quasisorting passes only — the Cheng &
 // Chen self-routing permutation network the paper builds on). It returns
 // out[d] = source input for each destination d, or -1.
-func RoutePermutation(perm []int, opts ...Option) ([]int, error) {
-	c := buildConfig(opts)
-	res, err := permnet.Route(perm, c.engine)
+func RoutePermutation(perm []int) ([]int, error) {
+	res, err := permnet.Route(perm)
 	if err != nil {
 		return nil, err
 	}

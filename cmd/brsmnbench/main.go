@@ -49,7 +49,6 @@ func main() {
 		trials   = flag.Int("trials", 10, "assignments per wall-clock measurement")
 		seed     = flag.Int64("seed", 1, "random seed")
 		format   = flag.String("format", "text", "output format: text or json (json: wallclock, pipeline, route, recovery)")
-		workers  = flag.Int("workers", 4, "worker count for the route experiment's parallel regime")
 		groups   = flag.Int("groups", 64, "group population for the recovery experiment")
 		baseline = flag.String("baseline", "", "route experiment: committed BENCH_route.json to compare against; exits nonzero if the warm planner regime regresses more than 20%")
 	)
@@ -60,7 +59,7 @@ func main() {
 		case "text":
 			err = run(os.Stdout, *exp, *n, szs, *trials, *seed, *groups, *baseline)
 		case "json":
-			err = runJSON(os.Stdout, *exp, *n, *trials, *seed, *workers, *groups, *baseline)
+			err = runJSON(os.Stdout, *exp, *n, *trials, *seed, *groups, *baseline)
 		default:
 			err = fmt.Errorf("unknown format %q", *format)
 		}
@@ -86,7 +85,7 @@ func parseSizes(s string) ([]int, error) {
 // runJSON handles the experiments with a machine-readable form. The
 // text-only experiments reject -format json instead of silently
 // falling back.
-func runJSON(w io.Writer, exp string, n, trials int, seed int64, workers, groups int, baseline string) error {
+func runJSON(w io.Writer, exp string, n, trials int, seed int64, groups int, baseline string) error {
 	var (
 		rep      any
 		err      error
@@ -94,7 +93,7 @@ func runJSON(w io.Writer, exp string, n, trials int, seed int64, workers, groups
 	)
 	switch exp {
 	case "route":
-		routeRep, err = harness.RouteBench(n, trials, seed, workers)
+		routeRep, err = harness.RouteBench(n, trials, seed)
 		rep = routeRep
 	case "wallclock":
 		rep, err = harness.WallClockJSON(n, trials, seed)
@@ -222,7 +221,7 @@ func run(w io.Writer, exp string, n int, sizes []int, trials int, seed int64, gr
 		}
 		return nil
 	case "route":
-		rep, err := harness.RouteBench(n, trials, seed, 4)
+		rep, err := harness.RouteBench(n, trials, seed)
 		if err != nil {
 			return err
 		}

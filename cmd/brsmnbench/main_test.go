@@ -55,18 +55,18 @@ func TestRunAll(t *testing.T) {
 	}
 }
 
-// TestRouteJSONRegimes checks the BENCH_route.json shape: all five
+// TestRouteJSONRegimes checks the BENCH_route.json shape: all four
 // regimes present, in order, with positive timings.
 func TestRouteJSONRegimes(t *testing.T) {
 	var b strings.Builder
-	if err := runJSON(&b, "route", 16, 2, 1, 4, 4, ""); err != nil {
+	if err := runJSON(&b, "route", 16, 2, 1, 4, ""); err != nil {
 		t.Fatal(err)
 	}
 	var rep harness.RouteBenchReport
 	if err := json.Unmarshal([]byte(b.String()), &rep); err != nil {
 		t.Fatalf("not JSON: %v\n%s", err, b.String())
 	}
-	want := []string{"cold", "network", "planner", "planner-parallel", "delta-churn"}
+	want := []string{"cold", "network", "planner", "delta-churn"}
 	if len(rep.Regimes) != len(want) {
 		t.Fatalf("%d regimes, want %d", len(rep.Regimes), len(want))
 	}
@@ -84,7 +84,7 @@ func TestRouteJSONRegimes(t *testing.T) {
 // a >20% planner regression fails, and a size-mismatched baseline is
 // rejected outright.
 func TestCheckBaseline(t *testing.T) {
-	rep, err := harness.RouteBench(16, 2, 1, 4)
+	rep, err := harness.RouteBench(16, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCheckBaseline(t *testing.T) {
 // graceful path.
 func TestRecoveryJSON(t *testing.T) {
 	var b strings.Builder
-	if err := runJSON(&b, "recovery", 16, 2, 1, 4, 4, ""); err != nil {
+	if err := runJSON(&b, "recovery", 16, 2, 1, 4, ""); err != nil {
 		t.Fatal(err)
 	}
 	var rep struct {

@@ -19,7 +19,7 @@
 //
 // Usage:
 //
-//	brsmnd -addr :8642 -n 1024 -workers 4 -shards 4 -epoch 250ms -epoch-threshold 64 -cache 4096
+//	brsmnd -addr :8642 -n 1024 -shards 4 -epoch 250ms -epoch-threshold 64 -cache 4096
 //	brsmnd -addr :8642 -n 1024 -shards 4 -data-dir /var/lib/brsmnd -snapshot-every 1m -fsync-batch 8
 //	brsmnd -addr :8701 -node-id a -peers 'a=http://127.0.0.1:8701,b=http://127.0.0.1:8702,c=http://127.0.0.1:8703'
 //
@@ -59,7 +59,6 @@ import (
 	"brsmn/internal/faultd"
 	"brsmn/internal/groupd"
 	"brsmn/internal/obs"
-	"brsmn/internal/rbn"
 	"brsmn/internal/shard"
 	"brsmn/internal/store"
 )
@@ -67,7 +66,6 @@ import (
 // config is the parsed flag set.
 type config struct {
 	addr           string
-	workers        int
 	n              int
 	epochPeriod    time.Duration
 	epochThreshold int
@@ -127,7 +125,6 @@ func parseFlags(args []string) (config, error) {
 	var cfg config
 	fs := flag.NewFlagSet("brsmnd", flag.ContinueOnError)
 	fs.StringVar(&cfg.addr, "addr", ":8642", "listen address")
-	fs.IntVar(&cfg.workers, "workers", 1, "planner worker goroutines per shard: the sub-BRSMN fork width of one route and the rounds routed concurrently per epoch")
 	fs.IntVar(&cfg.n, "n", 1024, "network size for long-lived groups (power of two)")
 	fs.DurationVar(&cfg.epochPeriod, "epoch", 250*time.Millisecond, "epoch reroute period (0 disables the timer)")
 	fs.IntVar(&cfg.epochThreshold, "epoch-threshold", 64, "pending membership changes that force an early epoch (0 disables)")
@@ -201,7 +198,6 @@ func (d *daemon) Close() error {
 // newHandler builds the live HTTP handler plus the daemon behind it
 // (which the caller must Close).
 func newHandler(cfg config) (http.Handler, *daemon, error) {
-	eng := rbn.Engine{Workers: cfg.workers}
 	var reg *obs.Registry
 	var tracer *obs.TraceRecorder
 	if cfg.metrics {
@@ -212,8 +208,6 @@ func newHandler(cfg config) (http.Handler, *daemon, error) {
 			// scrape N nodes without series colliding.
 			reg.SetCommonLabel(fmt.Sprintf("node=%q", cfg.nodeID))
 		}
-		reg.GaugeFunc("brsmn_engine_workers", "Configured planner worker goroutines (-workers).",
-			func() float64 { return float64(cfg.workers) })
 		reg.GaugeFunc("brsmn_goroutines", "Live goroutines in the daemon process.",
 			func() float64 { return float64(runtime.NumGoroutine()) })
 	}
@@ -236,7 +230,6 @@ func newHandler(cfg config) (http.Handler, *daemon, error) {
 		inj := faultd.NewInjector(cfg.faultSeed + int64(i))
 		fm, err := faultd.NewMonitor(faultd.Config{
 			N:            cfg.n,
-			Engine:       eng,
 			ProbeCount:   cfg.probeCount,
 			ProbeEvery:   cfg.probeEvery,
 			MetricsLabel: fmt.Sprintf(`shard="%d"`, i),
@@ -289,11 +282,9 @@ func newHandler(cfg config) (http.Handler, *daemon, error) {
 		TicketNode: cfg.nodeID,
 		Group: groupd.Config{
 			N:              cfg.n,
-			Engine:         eng,
 			CacheSize:      cfg.cacheSize,
 			EpochPeriod:    cfg.epochPeriod,
 			EpochThreshold: cfg.epochThreshold,
-			Workers:        cfg.workers,
 			Tracer:         tracer,
 		},
 		NewPolicy:     func(i int) groupd.FaultPolicy { return monitors[i] },
@@ -372,7 +363,7 @@ func newHandler(cfg config) (http.Handler, *daemon, error) {
 			return d.node.Ready()
 		}))
 	}
-	apiHandler := api.NewServer(eng, set, monitors, opts...)
+	apiHandler := api.NewServer(set, monitors, opts...)
 	if cfg.nodeID == "" {
 		return apiHandler, d, nil
 	}

@@ -16,7 +16,7 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.addr != ":8642" || cfg.n != 1024 || cfg.workers != 1 {
+	if cfg.addr != ":8642" || cfg.n != 1024 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	if cfg.epochPeriod != 250*time.Millisecond || cfg.epochThreshold != 64 || cfg.cacheSize != 4096 {
@@ -42,7 +42,7 @@ func TestParseFlagsDefaults(t *testing.T) {
 
 func TestParseFlagsOverrides(t *testing.T) {
 	cfg, err := parseFlags([]string{
-		"-addr", ":9000", "-n", "64", "-workers", "3",
+		"-addr", ":9000", "-n", "64",
 		"-epoch", "1s", "-epoch-threshold", "8", "-cache", "16",
 		"-shards", "4", "-batch-max", "16", "-queue-depth", "64",
 		"-probe-every", "2", "-probe-count", "6", "-fault-inject", "dead:0:1", "-fault-seed", "99",
@@ -54,7 +54,7 @@ func TestParseFlagsOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.addr != ":9000" || cfg.n != 64 || cfg.workers != 3 ||
+	if cfg.addr != ":9000" || cfg.n != 64 ||
 		cfg.epochPeriod != time.Second || cfg.epochThreshold != 8 || cfg.cacheSize != 16 {
 		t.Fatalf("overrides = %+v", cfg)
 	}
@@ -91,6 +91,11 @@ func TestParseFlagsErrors(t *testing.T) {
 	// striping flag is gone.
 	if _, err := parseFlags([]string{"-registry-shards", "8"}); err == nil {
 		t.Fatal("-registry-shards accepted")
+	}
+	// A route and an epoch run on one goroutine; the planner fork
+	// width flag is gone.
+	if _, err := parseFlags([]string{"-workers", "2"}); err == nil {
+		t.Fatal("-workers accepted")
 	}
 	// Cluster flags come as a pair and must be self-consistent.
 	if _, err := parseFlags([]string{"-node-id", "a"}); err == nil {

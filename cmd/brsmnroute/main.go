@@ -25,7 +25,6 @@ import (
 	"brsmn/internal/diagram"
 	"brsmn/internal/feedback"
 	"brsmn/internal/mcast"
-	"brsmn/internal/rbn"
 	"brsmn/internal/svg"
 	"brsmn/internal/workload"
 )
@@ -41,19 +40,18 @@ func main() {
 		bcast   = flag.Int("broadcast", -1, "route a full broadcast from this input")
 		fb      = flag.Bool("feedback", false, "use the feedback implementation (Fig. 13)")
 		seqs    = flag.Bool("sequences", true, "print routing-tag sequences")
-		workers = flag.Int("workers", 1, "planner goroutines: the sub-BRSMN fork width of the route")
 		verbose = flag.Bool("v", false, "print per-level switch plans")
 		svgOut  = flag.String("svg", "", "also write an SVG figure of the routing to this file")
 		trees   = flag.Bool("trees", false, "print each multicast's routing-tag tree (Fig. 9)")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *n, *fig2, *assign, *random, *load, *seed, *bcast, *fb, *seqs, *workers, *verbose, *svgOut, *trees); err != nil {
+	if err := run(os.Stdout, *n, *fig2, *assign, *random, *load, *seed, *bcast, *fb, *seqs, *verbose, *svgOut, *trees); err != nil {
 		fmt.Fprintln(os.Stderr, "brsmnroute:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, n int, fig2 bool, assign string, random bool, load float64, seed int64, bcast int, fb, seqs bool, workers int, verbose bool, svgOut string, trees bool) error {
+func run(w io.Writer, n int, fig2 bool, assign string, random bool, load float64, seed int64, bcast int, fb, seqs, verbose bool, svgOut string, trees bool) error {
 	var a mcast.Assignment
 	var err error
 	switch {
@@ -98,9 +96,8 @@ func run(w io.Writer, n int, fig2 bool, assign string, random bool, load float64
 		}
 	}
 
-	eng := rbn.Engine{Workers: workers}
 	if fb {
-		nw, err := feedback.New(a.N, eng)
+		nw, err := feedback.New(a.N)
 		if err != nil {
 			return err
 		}
@@ -125,7 +122,7 @@ func run(w io.Writer, n int, fig2 bool, assign string, random bool, load float64
 		return nil
 	}
 
-	nw, err := core.New(a.N, eng)
+	nw, err := core.New(a.N)
 	if err != nil {
 		return err
 	}

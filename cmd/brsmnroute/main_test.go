@@ -8,7 +8,7 @@ import (
 // TestRunFig2 drives the command body on the paper's example.
 func TestRunFig2(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, 8, true, "", false, 0, 1, -1, false, true, 1, false, "", false); err != nil {
+	if err := run(&b, 8, true, "", false, 0, 1, -1, false, true, false, "", false); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -22,7 +22,7 @@ func TestRunFig2(t *testing.T) {
 // TestRunAssignSyntax checks the -assign parser end to end.
 func TestRunAssignSyntax(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, 8, false, "0,1;;3,4,7;2;;;;5,6", false, 0, 1, -1, false, false, 1, true, "", false); err != nil {
+	if err := run(&b, 8, false, "0,1;;3,4,7;2;;;;5,6", false, 0, 1, -1, false, false, true, "", false); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "output 4: from input 2") {
@@ -37,7 +37,7 @@ func TestRunAssignSyntax(t *testing.T) {
 // TestRunFeedbackAndBroadcast covers the feedback path.
 func TestRunFeedbackAndBroadcast(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, 8, false, "", false, 0, 1, 3, true, false, 1, true, "", false); err != nil {
+	if err := run(&b, 8, false, "", false, 0, 1, 3, true, false, true, "", false); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -58,7 +58,7 @@ func TestRunFeedbackAndBroadcast(t *testing.T) {
 // TestRunTrees covers the Fig. 9 tree rendering flag.
 func TestRunTrees(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, 8, true, "", false, 0, 1, -1, false, false, 1, false, "", true); err != nil {
+	if err := run(&b, 8, true, "", false, 0, 1, -1, false, false, false, "", true); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "tag tree (Fig. 9)") || !strings.Contains(b.String(), "L1") {
@@ -66,10 +66,10 @@ func TestRunTrees(t *testing.T) {
 	}
 }
 
-// TestRunRandom covers the random generator path and engine option.
+// TestRunRandom covers the random generator path.
 func TestRunRandom(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, 16, false, "", true, 0.8, 7, -1, false, false, 4, false, "", false); err != nil {
+	if err := run(&b, 16, false, "", true, 0.8, 7, -1, false, false, false, "", false); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "assignment:") {
@@ -80,19 +80,19 @@ func TestRunRandom(t *testing.T) {
 // TestRunErrors covers the argument guards.
 func TestRunErrors(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, 8, false, "", false, 0, 1, -1, false, false, 1, false, "", false); err == nil {
+	if err := run(&b, 8, false, "", false, 0, 1, -1, false, false, false, "", false); err == nil {
 		t.Error("no mode selected: want error")
 	}
-	if err := run(&b, 8, false, "0;1;2;3;4;5;6;7;8", false, 0, 1, -1, false, false, 1, false, "", false); err == nil {
+	if err := run(&b, 8, false, "0;1;2;3;4;5;6;7;8", false, 0, 1, -1, false, false, false, "", false); err == nil {
 		t.Error("too many sets: want error")
 	}
-	if err := run(&b, 8, false, "x", false, 0, 1, -1, false, false, 1, false, "", false); err == nil {
+	if err := run(&b, 8, false, "x", false, 0, 1, -1, false, false, false, "", false); err == nil {
 		t.Error("bad destination: want error")
 	}
-	if err := run(&b, 8, false, "0;0", false, 0, 1, -1, false, false, 1, false, "", false); err == nil {
+	if err := run(&b, 8, false, "0;0", false, 0, 1, -1, false, false, false, "", false); err == nil {
 		t.Error("overlap: want error")
 	}
-	if err := run(&b, 8, false, "", false, 0, 1, 99, false, false, 1, false, "", false); err == nil {
+	if err := run(&b, 8, false, "", false, 0, 1, 99, false, false, false, "", false); err == nil {
 		t.Error("broadcast source out of range: want error")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"brsmn/internal/feedback"
 	"brsmn/internal/gcn"
 	"brsmn/internal/plancodec"
-	"brsmn/internal/rbn"
 	"brsmn/internal/workload"
 	"brsmn/internal/xbar"
 )
@@ -35,11 +34,11 @@ func TestDifferentialAllNetworks(t *testing.T) {
 		trials = 8
 	}
 	for _, n := range []int{4, 8, 16, 64} {
-		un, err := core.New(n, rbn.Sequential)
+		un, err := core.New(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fb, err := feedback.New(n, rbn.Sequential)
+		fb, err := feedback.New(n)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,9 +36,8 @@ func ConflictDegree(n int, reqs []Request) int {
 
 // ScheduleAndRoute schedules a request batch and routes every round
 // through an n x n BRSMN, verifying each round's deliveries.
-func ScheduleAndRoute(n int, reqs []Request, opts ...Option) (*BatchResult, error) {
-	c := buildConfig(opts)
-	return sched.RouteAll(n, reqs, c.engine)
+func ScheduleAndRoute(n int, reqs []Request) (*BatchResult, error) {
+	return sched.RouteAll(n, reqs)
 }
 
 // PipelineReport describes a pipelined run: per-wave deliveries, the
@@ -52,9 +51,8 @@ type PipelineReport = netsim.Report
 // fills, one complete multicast assignment is delivered every gap
 // cycles; the report records the achieved makespan and column
 // parallelism, and every wave's deliveries are verified.
-func RoutePipelined(assignments []Assignment, gap int, opts ...Option) (*PipelineReport, error) {
-	c := buildConfig(opts)
-	return netsim.Pipeline(assignments, gap, c.engine)
+func RoutePipelined(assignments []Assignment, gap int) (*PipelineReport, error) {
+	return netsim.Pipeline(assignments, gap)
 }
 
 // StreamResult is one routed assignment from a concurrent stream, tagged
@@ -67,14 +65,12 @@ type StreamResult = controller.StreamResult
 // returned channel in submission order. The stream ends when `in` closes
 // or ctx is cancelled; per-assignment failures arrive as in-band errors
 // without stopping the stream.
-func RouteStream(ctx context.Context, n int, in <-chan Assignment, workers int, opts ...Option) (<-chan StreamResult, error) {
-	c := buildConfig(opts)
-	return controller.RouteStream(ctx, n, in, workers, c.engine)
+func RouteStream(ctx context.Context, n int, in <-chan Assignment, workers int) (<-chan StreamResult, error) {
+	return controller.RouteStream(ctx, n, in, workers)
 }
 
 // RouteBatch routes a slice of assignments with the given concurrency
 // and returns the ordered results.
-func RouteBatch(n int, assignments []Assignment, workers int, opts ...Option) ([]StreamResult, error) {
-	c := buildConfig(opts)
-	return controller.RouteAll(n, assignments, workers, c.engine)
+func RouteBatch(n int, assignments []Assignment, workers int) ([]StreamResult, error) {
+	return controller.RouteAll(n, assignments, workers)
 }

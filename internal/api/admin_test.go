@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"brsmn/internal/rbn"
 	"brsmn/internal/shard"
 	"brsmn/internal/store"
 )
@@ -15,7 +14,7 @@ func TestAdminSnapshotEndpoint(t *testing.T) {
 	set := newTestSet(t, func(c *shard.Config) {
 		c.NewStore = func(int) (store.Store, error) { return st, nil }
 	})
-	ts := httptest.NewServer(NewServer(rbn.Sequential, set, nil))
+	ts := httptest.NewServer(NewServer(set, nil))
 	t.Cleanup(ts.Close)
 
 	if code := doJSON(t, "POST", ts.URL+"/v1/groups",

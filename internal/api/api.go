@@ -43,14 +43,12 @@ import (
 	"brsmn/internal/netsim"
 	"brsmn/internal/obs"
 	"brsmn/internal/plancodec"
-	"brsmn/internal/rbn"
 	"brsmn/internal/sched"
 	"brsmn/internal/shard"
 )
 
 // Server handles the HTTP API. Construct with NewServer.
 type Server struct {
-	eng      rbn.Engine
 	set      *shard.Set
 	monitors []*faultd.Monitor
 	reg      *obs.Registry
@@ -65,14 +63,14 @@ type Server struct {
 	warm warmBackends
 }
 
-// NewServer returns a handler-ready server using the given engine for
-// switch setting. set serves the group, ticket, epoch, shard and
-// snapshot endpoints and must be non-nil. monitors holds one fault
-// monitor per shard and backs the ?shard=k selector of faults.go; when
-// it is empty the fault endpoints answer 503. Options wire the optional
-// observability and readiness surfaces of obs.go and ready.go.
-func NewServer(eng rbn.Engine, set *shard.Set, monitors []*faultd.Monitor, opts ...Option) *Server {
-	s := &Server{eng: eng, set: set, monitors: monitors, mux: http.NewServeMux(),
+// NewServer returns a handler-ready server. set serves the group,
+// ticket, epoch, shard and snapshot endpoints and must be non-nil.
+// monitors holds one fault monitor per shard and backs the ?shard=k
+// selector of faults.go; when it is empty the fault endpoints answer
+// 503. Options wire the optional observability and readiness surfaces of
+// obs.go and ready.go.
+func NewServer(set *shard.Set, monitors []*faultd.Monitor, opts ...Option) *Server {
+	s := &Server{set: set, monitors: monitors, mux: http.NewServeMux(),
 		planTail: planTail(set.N()), backendsReply: backendsReply(set.N())}
 	for _, opt := range opts {
 		opt(s)
@@ -262,7 +260,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	res, err := sched.RouteAll(req.N, req.Requests, s.eng)
+	res, err := sched.RouteAll(req.N, req.Requests)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -439,7 +437,7 @@ func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 		}
 		as[k] = a
 	}
-	rep, err := netsim.Pipeline(as, req.Gap, s.eng)
+	rep, err := netsim.Pipeline(as, req.Gap)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return

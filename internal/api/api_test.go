@@ -14,7 +14,6 @@ import (
 	"brsmn/internal/fabric"
 	"brsmn/internal/groupd"
 	"brsmn/internal/plancodec"
-	"brsmn/internal/rbn"
 	"brsmn/internal/shard"
 	"brsmn/internal/workload"
 )
@@ -24,7 +23,7 @@ import (
 // adjusts the config first: shard count, store, fault policy, metrics.
 func newTestSet(t *testing.T, mutate func(*shard.Config)) *shard.Set {
 	t.Helper()
-	cfg := shard.Config{Group: groupd.Config{N: 16, Engine: rbn.Sequential}}
+	cfg := shard.Config{Group: groupd.Config{N: 16}}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -39,7 +38,7 @@ func newTestSet(t *testing.T, mutate func(*shard.Config)) *shard.Set {
 // newTestServer serves a one-shard Set without fault monitors.
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(NewServer(rbn.Sequential, newTestSet(t, nil), nil))
+	ts := httptest.NewServer(NewServer(newTestSet(t, nil), nil))
 	t.Cleanup(ts.Close)
 	return ts
 }

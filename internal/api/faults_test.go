@@ -7,7 +7,6 @@ import (
 
 	"brsmn/internal/faultd"
 	"brsmn/internal/groupd"
-	"brsmn/internal/rbn"
 	"brsmn/internal/shard"
 	"brsmn/internal/swbox"
 )
@@ -17,14 +16,14 @@ import (
 func newFaultServer(t *testing.T) (*httptest.Server, *faultd.Monitor) {
 	t.Helper()
 	inj := faultd.NewInjector(1)
-	fm, err := faultd.NewMonitor(faultd.Config{N: 16, Engine: rbn.Sequential, ProbeCount: 4}, inj)
+	fm, err := faultd.NewMonitor(faultd.Config{N: 16, ProbeCount: 4}, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
 	set := newTestSet(t, func(c *shard.Config) {
 		c.NewPolicy = func(int) groupd.FaultPolicy { return fm }
 	})
-	ts := httptest.NewServer(NewServer(rbn.Sequential, set, []*faultd.Monitor{fm}))
+	ts := httptest.NewServer(NewServer(set, []*faultd.Monitor{fm}))
 	t.Cleanup(ts.Close)
 	return ts, fm
 }

@@ -11,7 +11,6 @@ import (
 
 	"brsmn/internal/groupd"
 	"brsmn/internal/obs"
-	"brsmn/internal/rbn"
 	"brsmn/internal/shard"
 )
 
@@ -25,7 +24,7 @@ func newObsServer(t *testing.T) (*httptest.Server, *obs.Registry) {
 		c.Metrics = reg
 		c.Group.Tracer = tracer
 	})
-	ts := httptest.NewServer(NewServer(rbn.Sequential, set, nil, WithMetrics(reg), WithTracer(tracer)))
+	ts := httptest.NewServer(NewServer(set, nil, WithMetrics(reg), WithTracer(tracer)))
 	t.Cleanup(ts.Close)
 	return ts, reg
 }

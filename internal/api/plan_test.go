@@ -13,7 +13,6 @@ import (
 	"brsmn/internal/cost"
 	"brsmn/internal/groupd"
 	"brsmn/internal/obs"
-	"brsmn/internal/rbn"
 	"brsmn/internal/shard"
 )
 
@@ -37,12 +36,12 @@ func (s *Server) planResponse(p groupd.PlanInfo) GroupPlanResponse {
 // fault monitors; opts may switch on metrics.
 func newSizedServer(tb testing.TB, n int, opts ...Option) *Server {
 	tb.Helper()
-	set, err := shard.New(shard.Config{Group: groupd.Config{N: n, Engine: rbn.Sequential}})
+	set, err := shard.New(shard.Config{Group: groupd.Config{N: n}})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { set.Close() })
-	return NewServer(rbn.Sequential, set, nil, opts...)
+	return NewServer(set, nil, opts...)
 }
 
 // discardWriter is a ResponseWriter that keeps the headers and drops the

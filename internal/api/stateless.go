@@ -59,7 +59,7 @@ type warmBackends [backend.TierPermNet + 1][maxLogN + 1]warmBackend
 func (s *Server) backendFor(t backend.Tier, n int) (*warmBackend, error) {
 	wb := &s.warm[t][shuffle.Log2(n)]
 	wb.once.Do(func() {
-		wb.b, wb.err = backend.New(t, n, s.eng)
+		wb.b, wb.err = backend.New(t, n)
 		if wb.err == nil {
 			// A string and a struct of a string and ints always marshal.
 			wb.name, _ = json.Marshal(wb.b.Name())

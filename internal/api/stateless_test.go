@@ -19,7 +19,6 @@ import (
 	"brsmn/internal/fabric"
 	"brsmn/internal/mcast"
 	"brsmn/internal/plancodec"
-	"brsmn/internal/rbn"
 	"brsmn/internal/workload"
 )
 
@@ -76,7 +75,7 @@ type planCase struct {
 // one request, plancodec.Encode, and the encoding/json envelope.
 func coldPlanReply(t testing.TB, tier backend.Tier, a mcast.Assignment) []byte {
 	t.Helper()
-	b, err := backend.New(tier, a.N, rbn.Sequential)
+	b, err := backend.New(tier, a.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +200,7 @@ func TestStatelessRouteMatchesCold(t *testing.T) {
 		if c.tier != backend.TierBRSMN {
 			continue
 		}
-		nw, err := core.New(c.a.N, rbn.Sequential)
+		nw, err := core.New(c.a.N)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +316,7 @@ func BenchmarkStatelessPlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nw, err := core.New(a.N, rbn.Sequential)
+	nw, err := core.New(a.N)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"brsmn/internal/faultd"
 	"brsmn/internal/groupd"
-	"brsmn/internal/rbn"
 	"brsmn/internal/shard"
 )
 
@@ -135,7 +134,7 @@ func newShardServer(t *testing.T, shards int) (*httptest.Server, *shard.Set) {
 	t.Helper()
 	monitors := make([]*faultd.Monitor, shards)
 	for i := range monitors {
-		fm, err := faultd.NewMonitor(faultd.Config{N: 16, Engine: rbn.Sequential, ProbeCount: 2},
+		fm, err := faultd.NewMonitor(faultd.Config{N: 16, ProbeCount: 2},
 			faultd.NewInjector(int64(i+1)))
 		if err != nil {
 			t.Fatal(err)
@@ -146,7 +145,7 @@ func newShardServer(t *testing.T, shards int) (*httptest.Server, *shard.Set) {
 		c.Shards = shards
 		c.NewPolicy = func(i int) groupd.FaultPolicy { return monitors[i] }
 	})
-	ts := httptest.NewServer(NewServer(rbn.Sequential, set, monitors))
+	ts := httptest.NewServer(NewServer(set, monitors))
 	t.Cleanup(ts.Close)
 	return ts, set
 }

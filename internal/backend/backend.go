@@ -16,7 +16,6 @@ import (
 	"brsmn/internal/cost"
 	"brsmn/internal/fabric"
 	"brsmn/internal/mcast"
-	"brsmn/internal/rbn"
 )
 
 // Tier identifies a planner backend. The zero value is TierBRSMN.
@@ -91,16 +90,15 @@ type Backend interface {
 	Cost() cost.Row
 }
 
-// New constructs the backend implementing a tier for an n x n network
-// on the given engine.
-func New(t Tier, n int, eng rbn.Engine) (Backend, error) {
+// New constructs the backend implementing a tier for an n x n network.
+func New(t Tier, n int) (Backend, error) {
 	switch t {
 	case TierBRSMN:
-		return NewBRSMN(n, eng)
+		return NewBRSMN(n)
 	case TierFeedback:
-		return NewFeedback(n, eng)
+		return NewFeedback(n)
 	case TierPermNet:
-		return NewPermNet(n, eng)
+		return NewPermNet(n)
 	}
 	return nil, fmt.Errorf("backend: no implementation for tier %v", t)
 }
@@ -108,10 +106,10 @@ func New(t Tier, n int, eng rbn.Engine) (Backend, error) {
 // All constructs every backend for an n x n network, indexed by tier,
 // for callers (the backend catalogue, the bench harness) that compare
 // the tiers side by side.
-func All(n int, eng rbn.Engine) (map[Tier]Backend, error) {
+func All(n int) (map[Tier]Backend, error) {
 	out := make(map[Tier]Backend, 3)
 	for _, t := range Tiers() {
-		b, err := New(t, n, eng)
+		b, err := New(t, n)
 		if err != nil {
 			return nil, err
 		}

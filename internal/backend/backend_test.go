@@ -8,7 +8,6 @@ import (
 	"brsmn/internal/fabric"
 	"brsmn/internal/mcast"
 	"brsmn/internal/plancodec"
-	"brsmn/internal/rbn"
 	"brsmn/internal/workload"
 )
 
@@ -22,7 +21,7 @@ import (
 func TestDifferentialSemantics(t *testing.T) {
 	const trialsPerSize = 100
 	for _, n := range []int{16, 64, 256} {
-		backends, err := All(n, rbn.Sequential)
+		backends, err := All(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +125,7 @@ func checkCodecRoundTrip(t *testing.T, n int, r *Route) {
 // column counts follow the closed forms the /v1 surface reports.
 func TestBackendShapes(t *testing.T) {
 	n, m := 16, 4
-	backends, err := All(n, rbn.Sequential)
+	backends, err := All(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +195,7 @@ func TestTierParsing(t *testing.T) {
 
 // TestCapabilities pins each backend's name and cost row.
 func TestCapabilities(t *testing.T) {
-	backends, err := All(64, rbn.Sequential)
+	backends, err := All(64)
 	if err != nil {
 		t.Fatal(err)
 	}

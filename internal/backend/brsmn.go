@@ -5,7 +5,6 @@ import (
 	"brsmn/internal/cost"
 	"brsmn/internal/fabric"
 	"brsmn/internal/mcast"
-	"brsmn/internal/rbn"
 )
 
 // BRSMN is the full unrolled network behind the Backend interface: one
@@ -16,8 +15,8 @@ type BRSMN struct {
 }
 
 // NewBRSMN returns the full-BRSMN backend for an n x n network.
-func NewBRSMN(n int, eng rbn.Engine) (*BRSMN, error) {
-	nw, err := core.New(n, eng)
+func NewBRSMN(n int) (*BRSMN, error) {
+	nw, err := core.New(n)
 	if err != nil {
 		return nil, err
 	}

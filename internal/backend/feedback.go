@@ -7,7 +7,6 @@ import (
 	"brsmn/internal/fabric"
 	"brsmn/internal/feedback"
 	"brsmn/internal/mcast"
-	"brsmn/internal/rbn"
 	"brsmn/internal/shuffle"
 	"brsmn/internal/swbox"
 )
@@ -19,21 +18,21 @@ import (
 type Feedback struct {
 	n int
 	m int
-	// pool holds idle *feedback.Planner values. A sync.Pool rather than
-	// feedback.PlannerPool, whose free list keeps its peak concurrency
-	// forever: here idle planners go at GC, as the BRSMN backend's do.
+	// pool holds idle *feedback.Planner values; they go at GC, as the
+	// BRSMN backend's do. Route flattens the planner's aliased result
+	// before Put, so it never pays feedback.Network's detaching clone.
 	pool sync.Pool
 }
 
 // NewFeedback returns the feedback backend for an n x n network.
-func NewFeedback(n int, eng rbn.Engine) (*Feedback, error) {
-	pl, err := feedback.NewPlanner(n, eng)
+func NewFeedback(n int) (*Feedback, error) {
+	pl, err := feedback.NewPlanner(n)
 	if err != nil {
 		return nil, err
 	}
 	b := &Feedback{n: n, m: shuffle.Log2(n)}
 	b.pool.New = func() any {
-		pl, _ := feedback.NewPlanner(n, eng) // n validated above
+		pl, _ := feedback.NewPlanner(n) // n validated above
 		return pl
 	}
 	b.pool.Put(pl)

@@ -7,7 +7,6 @@ import (
 	"brsmn/internal/fabric"
 	"brsmn/internal/mcast"
 	"brsmn/internal/permnet"
-	"brsmn/internal/rbn"
 	"brsmn/internal/shuffle"
 	"brsmn/internal/swbox"
 )
@@ -19,18 +18,17 @@ import (
 // disjoint. A group with fanout f therefore costs f injection passes on
 // half the BRSMN's hardware.
 type PermNet struct {
-	n   int
-	m   int
-	eng rbn.Engine
+	n int
+	m int
 }
 
 // NewPermNet returns the permutation-network backend for an n x n
 // network.
-func NewPermNet(n int, eng rbn.Engine) (*PermNet, error) {
+func NewPermNet(n int) (*PermNet, error) {
 	if !shuffle.IsPow2(n) || n < 2 {
 		return nil, fmt.Errorf("backend: network size %d is not a power of two >= 2", n)
 	}
-	return &PermNet{n: n, m: shuffle.Log2(n), eng: eng}, nil
+	return &PermNet{n: n, m: shuffle.Log2(n)}, nil
 }
 
 // Name implements Backend.
@@ -74,7 +72,7 @@ func (b *PermNet) Route(a mcast.Assignment) (*Route, error) {
 				perm[i] = -1
 			}
 		}
-		res, err := permnet.Route(perm, b.eng)
+		res, err := permnet.Route(perm)
 		if err != nil {
 			return nil, fmt.Errorf("backend: permnet pass %d: %w", p, err)
 		}

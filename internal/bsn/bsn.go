@@ -167,7 +167,7 @@ type Result struct {
 // Route drives n cells through an n x n binary splitting network. The
 // head tags must satisfy the BSN input constraints (equations 1–3):
 // at most n/2 connections destined (fully or partly) to each half.
-func Route(in []Cell, eng rbn.Engine) (*Result, error) {
+func Route(in []Cell) (*Result, error) {
 	n := len(in)
 	tags := make([]tag.Value, n)
 	for i, c := range in {
@@ -185,7 +185,7 @@ func Route(in []Cell, eng rbn.Engine) (*Result, error) {
 	}
 
 	// Pass 1: scatter — eliminate αs.
-	sp, err := eng.ScatterPlan(n, tags, 0)
+	sp, err := rbn.ScatterPlan(n, tags, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +206,7 @@ func Route(in []Cell, eng rbn.Engine) (*Result, error) {
 	}
 
 	// Pass 2: quasisort — 0s to the upper half, 1s to the lower half.
-	qp, divided, err := eng.QuasisortPlan(n, midTags)
+	qp, divided, err := rbn.QuasisortPlan(n, midTags)
 	if err != nil {
 		return nil, err
 	}

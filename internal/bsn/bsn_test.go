@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"brsmn/internal/mcast"
-	"brsmn/internal/rbn"
 	"brsmn/internal/tag"
 	"brsmn/internal/workload"
 )
@@ -31,7 +30,7 @@ func TestFig4Example(t *testing.T) {
 	in[5] = mk(5, []int{0, 4, 7}) // tag α
 	in[6] = Idle()
 	in[7] = Idle()
-	res, err := Route(in, rbn.Sequential)
+	res, err := Route(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +89,7 @@ func TestBSNInvariants(t *testing.T) {
 			if err := ic.CheckBSNInput(n); err != nil {
 				t.Fatalf("n=%d %v: input constraints: %v", n, a, err)
 			}
-			res, err := Route(cells, rbn.Sequential)
+			res, err := Route(cells)
 			if err != nil {
 				t.Fatalf("n=%d %v: %v", n, a, err)
 			}
@@ -128,7 +127,7 @@ func TestRouteRejectsIllegalLoad(t *testing.T) {
 	in[1] = Cell{Tag: tag.V0, Source: 1, Seq: []tag.Value{tag.V0, tag.V1, tag.Eps}}
 	in[2] = Cell{Tag: tag.V0, Source: 2, Seq: []tag.Value{tag.V0, tag.V0, tag.Eps}}
 	in[3] = Idle()
-	if _, err := Route(in, rbn.Sequential); err == nil {
+	if _, err := Route(in); err == nil {
 		t.Error("Route accepted 3 upper-half connections on a 4 x 4 BSN")
 	}
 }
@@ -138,7 +137,7 @@ func TestRouteRejectsInconsistentCell(t *testing.T) {
 	in := make([]Cell, 2)
 	in[0] = Cell{Tag: tag.V0, Source: 0, Seq: []tag.Value{tag.V1}}
 	in[1] = Idle()
-	if _, err := Route(in, rbn.Sequential); err == nil {
+	if _, err := Route(in); err == nil {
 		t.Error("Route accepted a cell whose tag differs from its sequence head")
 	}
 }
@@ -226,7 +225,7 @@ func TestEdgeDisjointness(t *testing.T) {
 			active++
 		}
 	}
-	res, err := Route(cells, rbn.Sequential)
+	res, err := Route(cells)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 	"brsmn/internal/api"
 	"brsmn/internal/groupd"
 	"brsmn/internal/obs"
-	"brsmn/internal/rbn"
 	"brsmn/internal/shard"
 )
 
@@ -56,14 +55,14 @@ func testCluster(t *testing.T, n int, mutate func(id string, cfg *Config)) map[s
 		reg.SetCommonLabel(fmt.Sprintf("node=%q", id))
 		set, err := shard.New(shard.Config{
 			Shards:     2,
-			Group:      groupd.Config{N: 16, Engine: rbn.Sequential},
+			Group:      groupd.Config{N: 16},
 			TicketNode: id,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		tn := &testNode{id: id, set: set, reg: reg, url: peers[id]}
-		apiSrv := api.NewServer(rbn.Sequential, set, nil,
+		apiSrv := api.NewServer(set, nil,
 			api.WithMetrics(reg),
 			api.WithReadiness(func() error {
 				if tn.node == nil {
@@ -161,12 +160,12 @@ func getPlan(t *testing.T, base, id string) (planData, *http.Response) {
 func TestClusterDifferential(t *testing.T) {
 	nodes := testCluster(t, 3, nil)
 
-	soloSet, err := shard.New(shard.Config{Shards: 2, Group: groupd.Config{N: 16, Engine: rbn.Sequential}})
+	soloSet, err := shard.New(shard.Config{Shards: 2, Group: groupd.Config{N: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer soloSet.Close()
-	solo := httptest.NewServer(api.NewServer(rbn.Sequential, soloSet, nil))
+	solo := httptest.NewServer(api.NewServer(soloSet, nil))
 	defer solo.Close()
 
 	urls := []string{nodes["a"].url, nodes["b"].url, nodes["c"].url}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"brsmn/internal/groupd"
-	"brsmn/internal/rbn"
 	"brsmn/internal/shard"
 )
 
@@ -33,7 +32,7 @@ func TestNodePlacementGolden(t *testing.T) {
 			// a down peer keeps its ring share.
 			peers[fmt.Sprintf("node-%d", i)] = "http://127.0.0.1:1"
 		}
-		set, err := shard.New(shard.Config{Group: groupd.Config{N: 16, Engine: rbn.Sequential}})
+		set, err := shard.New(shard.Config{Group: groupd.Config{N: 16}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,6 @@ import (
 
 	"brsmn/internal/api"
 	"brsmn/internal/groupd"
-	"brsmn/internal/rbn"
 	"brsmn/internal/shard"
 )
 
@@ -161,12 +160,12 @@ func TestForwardRetrySemantics(t *testing.T) {
 	}))
 	defer stub.Close()
 
-	set, err := shard.New(shard.Config{Shards: 2, Group: groupd.Config{N: 16, Engine: rbn.Sequential}})
+	set, err := shard.New(shard.Config{Shards: 2, Group: groupd.Config{N: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer set.Close()
-	apiSrv := api.NewServer(rbn.Sequential, set, nil)
+	apiSrv := api.NewServer(set, nil)
 	aTS := httptest.NewUnstartedServer(http.NotFoundHandler())
 	const retries = 2
 	node, err := New(Config{

@@ -14,7 +14,6 @@ import (
 
 	"brsmn/internal/core"
 	"brsmn/internal/mcast"
-	"brsmn/internal/rbn"
 )
 
 // StreamResult is one routed assignment, tagged with its submission
@@ -30,8 +29,8 @@ type StreamResult struct {
 // n x n network, and emits results on the returned channel in submission
 // order. The channel closes after the last result. A routing error is
 // delivered in its slot; the stream keeps going.
-func RouteStream(ctx context.Context, n int, in <-chan mcast.Assignment, workers int, eng rbn.Engine) (<-chan StreamResult, error) {
-	nw, err := core.New(n, eng)
+func RouteStream(ctx context.Context, n int, in <-chan mcast.Assignment, workers int) (<-chan StreamResult, error) {
+	nw, err := core.New(n)
 	if err != nil {
 		return nil, err
 	}
@@ -39,9 +38,8 @@ func RouteStream(ctx context.Context, n int, in <-chan mcast.Assignment, workers
 }
 
 // RouteStreamOn is RouteStream on a caller-provided network, so a
-// long-running service (the groupd epoch loop) reuses the network's
-// warm planner pool across epochs instead of rebuilding the pipeline
-// per call.
+// long-running caller reuses the network's warm planner pool across
+// calls instead of rebuilding the pipeline per call.
 func RouteStreamOn(ctx context.Context, nw *core.Network, in <-chan mcast.Assignment, workers int) (<-chan StreamResult, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("controller: %d workers out of range", workers)
@@ -140,8 +138,8 @@ func RouteStreamOn(ctx context.Context, nw *core.Network, in <-chan mcast.Assign
 
 // RouteAll is the slice convenience over RouteStream: route every
 // assignment with the given concurrency and return the ordered results.
-func RouteAll(n int, assignments []mcast.Assignment, workers int, eng rbn.Engine) ([]StreamResult, error) {
-	nw, err := core.New(n, eng)
+func RouteAll(n int, assignments []mcast.Assignment, workers int) ([]StreamResult, error) {
+	nw, err := core.New(n)
 	if err != nil {
 		return nil, err
 	}

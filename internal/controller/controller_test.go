@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"brsmn/internal/mcast"
-	"brsmn/internal/rbn"
 	"brsmn/internal/workload"
 	"brsmn/internal/xbar"
 )
@@ -26,7 +25,7 @@ func TestRouteAllOrderedAndCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		results, err := RouteAll(n, as, workers, rbn.Sequential)
+		results, err := RouteAll(n, as, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +58,7 @@ func TestStreamErrorsInBand(t *testing.T) {
 	n := 8
 	good := workload.Broadcast(n, 1)
 	bad := mcast.Assignment{N: n, Dests: [][]int{{0}, {0}, nil, nil, nil, nil, nil, nil}}
-	results, err := RouteAll(n, []mcast.Assignment{good, bad, good}, 2, rbn.Sequential)
+	results, err := RouteAll(n, []mcast.Assignment{good, bad, good}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestStreamCancel(t *testing.T) {
 	n := 16
 	ctx, cancel := context.WithCancel(context.Background())
 	in := make(chan mcast.Assignment)
-	out, err := RouteStream(ctx, n, in, 2, rbn.Sequential)
+	out, err := RouteStream(ctx, n, in, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +101,10 @@ func TestStreamCancel(t *testing.T) {
 // TestRouteStreamValidation covers the guards.
 func TestRouteStreamValidation(t *testing.T) {
 	in := make(chan mcast.Assignment)
-	if _, err := RouteStream(context.Background(), 8, in, 0, rbn.Sequential); err == nil {
+	if _, err := RouteStream(context.Background(), 8, in, 0); err == nil {
 		t.Error("accepted zero workers")
 	}
-	if _, err := RouteStream(context.Background(), 7, in, 1, rbn.Sequential); err == nil {
+	if _, err := RouteStream(context.Background(), 7, in, 1); err == nil {
 		t.Error("accepted bad size")
 	}
 }

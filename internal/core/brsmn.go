@@ -59,18 +59,18 @@ type Result struct {
 // usable; construct with New.
 type Network struct {
 	n    int
-	eng  rbn.Engine
 	pool *PlannerPool
 }
 
-// New returns an n x n BRSMN (n a power of two, n >= 2) whose distributed
-// switch-setting sweeps run on the given engine.
-func New(n int, eng rbn.Engine) (*Network, error) {
-	pool, err := NewPlannerPool(n, eng)
+// New returns an n x n BRSMN (n a power of two, n >= 2). The trailing
+// rbn.Engine is accepted and ignored; see its doc for the one caller
+// that still passes it.
+func New(n int, _ ...rbn.Engine) (*Network, error) {
+	pool, err := NewPlannerPool(n)
 	if err != nil {
 		return nil, err
 	}
-	return &Network{n: n, eng: eng, pool: pool}, nil
+	return &Network{n: n, pool: pool}, nil
 }
 
 // N returns the network size.
@@ -156,10 +156,10 @@ func Verify(a mcast.Assignment, res *Result) error {
 	return verifyOwner(a.OutputOwner(), res.Deliveries)
 }
 
-// Route is a convenience constructing a sequential-engine network and
-// routing one assignment through it.
+// Route is a convenience constructing a network and routing one
+// assignment through it.
 func Route(a mcast.Assignment) (*Result, error) {
-	nw, err := New(a.N, rbn.Sequential)
+	nw, err := New(a.N)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"brsmn/internal/mcast"
-	"brsmn/internal/rbn"
 	"brsmn/internal/workload"
 )
 
@@ -172,7 +171,7 @@ func TestFullPermutations(t *testing.T) {
 func TestPayloadDelivery(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	n := 64
-	nw, err := New(n, rbn.Sequential)
+	nw, err := New(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,39 +194,14 @@ func TestPayloadDelivery(t *testing.T) {
 	}
 }
 
-// TestParallelEngineRouting checks routing works identically under the
-// parallel engine.
-func TestParallelEngineRouting(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	n := 128
-	seqNet, _ := New(n, rbn.Sequential)
-	parNet, _ := New(n, rbn.Engine{Workers: 8})
-	for trial := 0; trial < 5; trial++ {
-		a := workload.Random(rng, n, 0.7, 0.6)
-		r1, err := seqNet.Route(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := parNet.Route(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range r1.Deliveries {
-			if r1.Deliveries[i].Source != r2.Deliveries[i].Source {
-				t.Fatalf("engines disagree at output %d", i)
-			}
-		}
-	}
-}
-
 // TestNewErrors checks constructor validation.
 func TestNewErrors(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 6, 100} {
-		if _, err := New(n, rbn.Sequential); err == nil {
+		if _, err := New(n); err == nil {
 			t.Errorf("New(%d) succeeded; want error", n)
 		}
 	}
-	nw, _ := New(8, rbn.Sequential)
+	nw, _ := New(8)
 	a := workload.Random(rand.New(rand.NewSource(1)), 16, 0.5, 0.5)
 	if _, err := nw.Route(a); err == nil {
 		t.Error("Route accepted an assignment of the wrong size")

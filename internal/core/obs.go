@@ -30,7 +30,7 @@ func (p *Planner) lastUsedTagBytes() int {
 
 // ShrinkArenas drops the retained tag-tree arena; subsequent routes
 // regrow it to actual need. The fixed, n-sized planning structures
-// (cell levels, plan slots, routers) are untouched. The retained route
+// (cell levels, plan slots, BSN buffers) are untouched. The retained route
 // loses its trees, so in-place patching is disabled until the next full
 // route.
 func (p *Planner) ShrinkArenas() {
@@ -40,8 +40,8 @@ func (p *Planner) ShrinkArenas() {
 }
 
 // RouteTraced is Route with per-stage tracing into tr: wall-clock total,
-// scatter/quasisort/advance/deliver stage times (CPU-summed across the
-// parallel recursion) and the paper-level route quantities. A nil tr
+// scatter/quasisort/advance/deliver stage times (summed over the
+// recursion's nodes) and the paper-level route quantities. A nil tr
 // falls back to the untraced path.
 func (p *Planner) RouteTraced(a mcast.Assignment, tr *obs.RouteTrace) (*Result, error) {
 	if tr == nil {
@@ -108,7 +108,7 @@ func (nw *Network) RouteTraced(a mcast.Assignment, tr *obs.RouteTrace) (*Result,
 	}
 	t0 := time.Now()
 	out := res.Clone()
-	obs.AddNs(&tr.CloneNs, time.Since(t0))
+	tr.CloneNs += int64(time.Since(t0))
 	nw.pool.Put(pl)
 	return out, nil
 }

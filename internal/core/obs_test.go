@@ -6,7 +6,6 @@ import (
 
 	"brsmn/internal/mcast"
 	"brsmn/internal/obs"
-	"brsmn/internal/rbn"
 )
 
 // permAssignment is the workload that maximizes arena retention: every
@@ -32,7 +31,7 @@ func sparseAssignment(n int) mcast.Assignment {
 // the bug.
 func TestPoolShrinksOversizedArenas(t *testing.T) {
 	const n = 1024
-	pool, err := NewPlannerPool(n, rbn.Sequential)
+	pool, err := NewPlannerPool(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func TestRouteTracedMatchesUntraced(t *testing.T) {
 	const n = 64
 	a := mcast.MustNew(n, [][]int{2: {0, 5, 9, 33}, 7: {1, 2}, 40: {60, 61, 62, 63}})
 
-	nw, err := New(n, rbn.Sequential)
+	nw, err := New(n)
 	if err != nil {
 		t.Fatal(err)
 	}

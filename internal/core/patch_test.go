@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"brsmn/internal/mcast"
-	"brsmn/internal/rbn"
 )
 
 // TestBuildTreeMatchesMcast is the differential check for the word-
@@ -16,7 +15,7 @@ import (
 func TestBuildTreeMatchesMcast(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, n := range []int{2, 4, 8, 16, 32, 64, 128, 1024} {
-		p, err := NewPlanner(n, rbn.Sequential)
+		p, err := NewPlanner(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,11 +76,11 @@ func resultsEqual(t *testing.T, label string, got, want *Result) {
 func TestRoutePatchMatchesFreshRoute(t *testing.T) {
 	for _, n := range []int{8, 64, 256} {
 		rng := rand.New(rand.NewSource(int64(200 + n)))
-		patched, err := NewPlanner(n, rbn.Sequential)
+		patched, err := NewPlanner(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := NewPlanner(n, rbn.Sequential)
+		fresh, err := NewPlanner(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +164,7 @@ func TestRoutePatchMatchesFreshRoute(t *testing.T) {
 // planner, conflicting ownership, and patching after ShrinkArenas.
 func TestRoutePatchErrors(t *testing.T) {
 	const n = 16
-	p, err := NewPlanner(n, rbn.Sequential)
+	p, err := NewPlanner(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +215,7 @@ func TestRoutePatchErrors(t *testing.T) {
 // payloads from the retained payload slice.
 func TestRoutePatchPayloads(t *testing.T) {
 	const n = 16
-	p, err := NewPlanner(n, rbn.Sequential)
+	p, err := NewPlanner(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +241,7 @@ func TestRoutePatchPayloads(t *testing.T) {
 // recursion re-entered.
 func TestRoutePatchLevelsDeep(t *testing.T) {
 	const n = 1024
-	p, err := NewPlanner(n, rbn.Sequential)
+	p, err := NewPlanner(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +276,7 @@ func TestRoutePatchLevelsDeep(t *testing.T) {
 // packed tree equals a from-scratch build of the new destination set.
 func TestPatchedTreeStaysConsistent(t *testing.T) {
 	const n = 64
-	p, err := NewPlanner(n, rbn.Sequential)
+	p, err := NewPlanner(n)
 	if err != nil {
 		t.Fatal(err)
 	}

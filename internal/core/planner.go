@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,11 +13,6 @@ import (
 	"brsmn/internal/swbox"
 	"brsmn/internal/tag"
 )
-
-// plannerGrain is the smallest sub-BRSMN worth routing on its own
-// goroutine; below it the per-node planning work no longer amortizes the
-// spawn cost.
-const plannerGrain = 256
 
 // treeChunkWords is the minimum tag-tree arena growth step (4 KiB), so
 // sparse workloads do not grow the arena word by word.
@@ -63,19 +57,14 @@ func splitPCell(c pcell) (pcell, pcell) {
 // valid only until the next Route call; callers that retain results
 // (or route through a shared pool) detach them with Result.Clone.
 //
-// With an Engine of Workers > 1 the planner also routes the two
-// independent half-size sub-BRSMNs of each level concurrently: their
-// input halves, output halves and plan slots are disjoint (Theorem 2
-// splits the assignment so each half is again a valid assignment), so
-// the recursion parallelizes without locks and produces bit-identical
-// results to the sequential walk. A Planner is not safe for concurrent
-// use; use a PlannerPool to share one network across goroutines.
+// The recursion routes the two half-size sub-BRSMNs of each level one
+// after the other on the caller's goroutine. A Planner is not safe for
+// concurrent use; use a PlannerPool to share one network across
+// goroutines.
 type Planner struct {
-	n       int
-	m       int // log2(n)
-	eng     rbn.Engine
-	workers int
-	tw      int // uint64 words per packed tag tree: (n-1)/32 + 1
+	n  int
+	m  int // log2(n)
+	tw int // uint64 words per packed tag tree: (n-1)/32 + 1
 
 	owner []int // fused validation + verification buffer
 
@@ -98,9 +87,9 @@ type Planner struct {
 	// levels[l] holds the cell vector entering recursion level l+1:
 	// levels[0] is the network input; a level-l node at output base b of
 	// size s reads levels[l-1][b:b+s] and writes its children's cells to
-	// levels[l][b:b+s]. Sibling nodes write disjoint ranges, so the
-	// parallel recursion needs no synchronization — and RoutePatch can
-	// re-enter the recursion at any node whose entry cells it retained.
+	// levels[l][b:b+s]. Sibling nodes write disjoint ranges, so
+	// RoutePatch can re-enter the recursion at any node whose entry
+	// cells it retained.
 	levels [][]pcell
 
 	// plans holds one slot per BSN instance in DFS preorder — the exact
@@ -110,8 +99,7 @@ type Planner struct {
 	// subtree).
 	plans []LevelPlan
 
-	routers chan *pRouter // BSN router pool, one per worker
-	tokens  chan struct{} // bounds extra recursion goroutines to workers-1
+	router *pRouter // BSN working buffers, shared by every node
 
 	final      []swbox.Setting
 	deliveries []Delivery
@@ -124,29 +112,16 @@ type Planner struct {
 }
 
 // NewPlanner builds a planner for an n x n BRSMN (n a power of two,
-// n >= 2) running its setting sweeps on the given engine and, for
-// Workers > 1, forking its sub-BRSMN recursion up to Workers wide.
-func NewPlanner(n int, eng rbn.Engine) (*Planner, error) {
+// n >= 2). The trailing rbn.Engine is accepted and ignored; see its
+// doc for the one caller that still passes it.
+func NewPlanner(n int, _ ...rbn.Engine) (*Planner, error) {
 	if n < 2 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("core: network size %d is not a power of two >= 2", n)
-	}
-	w := eng.Workers
-	if w < 1 {
-		w = 1
-	}
-	// Forking the recursion past the schedulable parallelism only adds
-	// goroutine and channel overhead that no concurrent sweep repays;
-	// cap the fork width at GOMAXPROCS (so a 4-worker planner on a 1-CPU
-	// box routes sequentially).
-	if mp := runtime.GOMAXPROCS(0); w > mp {
-		w = mp
 	}
 	m := shuffle.Log2(n)
 	p := &Planner{
 		n:          n,
 		m:          m,
-		eng:        eng,
-		workers:    w,
 		tw:         (n-1)>>5 + 1,
 		owner:      make([]int, n),
 		treeOff:    make([]int32, n),
@@ -154,8 +129,7 @@ func NewPlanner(n int, eng rbn.Engine) (*Planner, error) {
 		levels:     make([][]pcell, m),
 		final:      make([]swbox.Setting, n/2),
 		deliveries: make([]Delivery, n),
-		routers:    make(chan *pRouter, w),
-		tokens:     make(chan struct{}, w-1),
+		router:     newPRouter(n),
 	}
 	for l := range p.levels {
 		p.levels[l] = make([]pcell, n)
@@ -163,9 +137,6 @@ func NewPlanner(n int, eng rbn.Engine) (*Planner, error) {
 	slots := n/2 - 1 // BSN instances: one per sub-BRSMN of size >= 4
 	p.plans = make([]LevelPlan, slots)
 	p.initSlots(1, 0, n, 0)
-	for i := 0; i < w; i++ {
-		p.routers <- newPRouter(n)
-	}
 	return p, nil
 }
 
@@ -347,7 +318,7 @@ func (p *Planner) RouteWithPayloads(a mcast.Assignment, payloads []any) (*Result
 
 // routeRec routes the sub-BRSMN at the given level covering network
 // outputs [base, base+size), filling plan slot `slot` and recursing
-// into its two halves — concurrently when workers and tokens allow.
+// into its upper, then its lower half.
 func (p *Planner) routeRec(level, base, size, slot int) error {
 	if size == 2 {
 		return p.deliver(level, base)
@@ -355,44 +326,14 @@ func (p *Planner) routeRec(level, base, size, slot int) error {
 	lp := &p.plans[slot]
 	cells := p.levels[level-1][base : base+size]
 	out := p.levels[level][base : base+size]
-	r := <-p.routers
-	var err error
-	if tr := p.tr; tr != nil {
-		err = r.route(p, level, cells, out, lp, &tr.ScatterNs, &tr.QuasiNs)
-	} else {
-		err = r.route(p, level, cells, out, lp, nil, nil)
-	}
-	p.routers <- r
-	if err != nil {
+	if err := p.router.route(p, level, cells, out, lp); err != nil {
 		return fmt.Errorf("core: level %d BSN at output base %d: %w", level, base, err)
 	}
-
 	half := size / 2
-	upSlot, loSlot := slot+1, slot+size/4
-	if p.workers > 1 && half >= plannerGrain {
-		select {
-		case p.tokens <- struct{}{}:
-			var wg sync.WaitGroup
-			var upErr error
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				upErr = p.routeRec(level+1, base, half, upSlot)
-				<-p.tokens
-			}()
-			loErr := p.routeRec(level+1, base+half, half, loSlot)
-			wg.Wait()
-			if upErr != nil {
-				return upErr
-			}
-			return loErr
-		default:
-		}
-	}
-	if err := p.routeRec(level+1, base, half, upSlot); err != nil {
+	if err := p.routeRec(level+1, base, half, slot+1); err != nil {
 		return err
 	}
-	return p.routeRec(level+1, base+half, half, loSlot)
+	return p.routeRec(level+1, base+half, half, slot+size/4)
 }
 
 // pRouter is a reusable binary-splitting-network router over pcells: the
@@ -424,11 +365,12 @@ func newPRouter(n int) *pRouter {
 // writing the scatter and quasisort settings into lp and the output
 // cells, every one advanced to tree level level+1, into out (len(cells)
 // long, disjoint from cells).
-func (r *pRouter) route(p *Planner, level int, cells, out []pcell, lp *LevelPlan, scatterNs, quasiNs *int64) error {
+func (r *pRouter) route(p *Planner, level int, cells, out []pcell, lp *LevelPlan) error {
 	n := len(cells)
 	tags := r.tags[:n]
+	tr := p.tr
 	var t0 time.Time
-	if scatterNs != nil {
+	if tr != nil {
 		t0 = time.Now()
 	}
 	// Read the entry tags, and fill out with the scatter's working copy
@@ -458,7 +400,7 @@ func (r *pRouter) route(p *Planner, level int, cells, out []pcell, lp *LevelPlan
 	}
 
 	// Pass 1: scatter — eliminate αs.
-	if err := p.eng.ScatterPlanInto(lp.Scatter, tags, 0, r.sc); err != nil {
+	if err := rbn.ScatterPlanInto(lp.Scatter, tags, 0, r.sc); err != nil {
 		return err
 	}
 	if _, err := rbn.ApplyScratch(lp.Scatter, out, out, splitPCell); err != nil {
@@ -481,15 +423,13 @@ func (r *pRouter) route(p *Planner, level int, cells, out []pcell, lp *LevelPlan
 			midTags[i] = tag.V0
 		}
 	}
-	if scatterNs != nil {
-		atomic.AddInt64(scatterNs, int64(time.Since(t0)))
+	if tr != nil {
+		tr.ScatterNs += int64(time.Since(t0))
+		t0 = time.Now()
 	}
 
 	// Pass 2: quasisort — 0s to the upper half, 1s to the lower half.
-	if quasiNs != nil {
-		t0 = time.Now()
-	}
-	if err := p.eng.QuasisortPlanInto(lp.Quasi, r.divided[:n], midTags, r.sc); err != nil {
+	if err := rbn.QuasisortPlanInto(lp.Quasi, r.divided[:n], midTags, r.sc); err != nil {
 		return err
 	}
 	if _, err := rbn.ApplyScratch(lp.Quasi, out, out, nil); err != nil {
@@ -506,8 +446,8 @@ func (r *pRouter) route(p *Planner, level int, cells, out []pcell, lp *LevelPlan
 			return fmt.Errorf("core: 1-tagged connection from input %d quasisorted to upper-half output %d", c.src, i)
 		}
 	}
-	if quasiNs != nil {
-		atomic.AddInt64(quasiNs, int64(time.Since(t0)))
+	if tr != nil {
+		tr.QuasiNs += int64(time.Since(t0))
 	}
 	return nil
 }
@@ -517,7 +457,7 @@ func (r *pRouter) route(p *Planner, level int, cells, out []pcell, lp *LevelPlan
 // the delivery instruction.
 func (p *Planner) deliver(level, base int) error {
 	if tr := p.tr; tr != nil {
-		defer func(t0 time.Time) { obs.AddNs(&tr.DeliverNs, time.Since(t0)) }(time.Now())
+		defer func(t0 time.Time) { tr.DeliverNs += int64(time.Since(t0)) }(time.Now())
 	}
 	cells := p.levels[level-1][base : base+2]
 	heads := [2]tag.Value{tag.Eps, tag.Eps}
@@ -602,7 +542,6 @@ func (r *Result) Clone() *Result {
 // Counters are exposed through Stats.
 type PlannerPool struct {
 	n    int
-	eng  rbn.Engine
 	pool sync.Pool
 
 	gets, news, puts, shrinks atomic.Uint64
@@ -610,15 +549,14 @@ type PlannerPool struct {
 	hw                        atomic.Int64 // retained arena high-water, bytes
 }
 
-// NewPlannerPool builds a pool of planners for n x n BRSMNs on the
-// given engine.
-func NewPlannerPool(n int, eng rbn.Engine) (*PlannerPool, error) {
+// NewPlannerPool builds a pool of planners for n x n BRSMNs.
+func NewPlannerPool(n int) (*PlannerPool, error) {
 	if n < 2 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("core: network size %d is not a power of two >= 2", n)
 	}
-	p := &PlannerPool{n: n, eng: eng}
+	p := &PlannerPool{n: n}
 	p.pool.New = func() any {
-		pl, err := NewPlanner(p.n, p.eng)
+		pl, err := NewPlanner(p.n)
 		if err != nil {
 			panic(err) // unreachable: n validated above
 		}

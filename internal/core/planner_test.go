@@ -5,19 +5,18 @@ import (
 	"testing"
 
 	"brsmn/internal/mcast"
-	"brsmn/internal/rbn"
 )
 
 func TestNewPlannerRejectsBadSizes(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 6, 100} {
-		if _, err := NewPlanner(n, rbn.Sequential); err == nil {
+		if _, err := NewPlanner(n); err == nil {
 			t.Errorf("NewPlanner(%d) accepted a non-power-of-two size", n)
 		}
 	}
 }
 
 func TestPlannerErrorPaths(t *testing.T) {
-	p, err := NewPlanner(8, rbn.Sequential)
+	p, err := NewPlanner(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +48,7 @@ func TestPlannerErrorPaths(t *testing.T) {
 }
 
 func TestPlannerPool(t *testing.T) {
-	pool, err := NewPlannerPool(8, rbn.Sequential)
+	pool, err := NewPlannerPool(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +71,7 @@ func TestPlannerPool(t *testing.T) {
 
 	// A foreign-sized planner must not enter the pool: a later Get would
 	// hand out scratch arrays of the wrong shape.
-	wrong, err := NewPlanner(16, rbn.Sequential)
+	wrong, err := NewPlanner(16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +85,13 @@ func TestPlannerPool(t *testing.T) {
 		pool.Put(got)
 	}
 
-	if _, err := NewPlannerPool(5, rbn.Sequential); err == nil {
+	if _, err := NewPlannerPool(5); err == nil {
 		t.Error("NewPlannerPool(5) accepted a non-power-of-two size")
 	}
 }
 
 func TestResultCloneDetaches(t *testing.T) {
-	p, err := NewPlanner(16, rbn.Sequential)
+	p, err := NewPlanner(16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"brsmn/internal/copynet"
 	"brsmn/internal/core"
 	"brsmn/internal/permnet"
-	"brsmn/internal/rbn"
 	"brsmn/internal/shuffle"
 	"brsmn/internal/workload"
 )
@@ -156,27 +155,6 @@ func TestCrossbarRow(t *testing.T) {
 	r := Crossbar(8)
 	if r.Switches != 64 || r.Depth != 1 || r.RoutingTime != 8 {
 		t.Errorf("Crossbar(8) = %+v", r)
-	}
-}
-
-// TestEngineInvariance notes the cost model is independent of the
-// routing engine (sequential vs parallel): routed plans have identical
-// switch counts.
-func TestEngineInvariance(t *testing.T) {
-	n := 32
-	a := workload.Broadcast(n, 5)
-	nw1, _ := core.New(n, rbn.Sequential)
-	nw2, _ := core.New(n, rbn.Engine{Workers: 4})
-	r1, err := nw1.Route(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := nw2.Route(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Plans) != len(r2.Plans) {
-		t.Error("plan counts differ across engines")
 	}
 }
 

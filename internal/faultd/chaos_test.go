@@ -12,7 +12,6 @@ import (
 	"brsmn/internal/fabric"
 	"brsmn/internal/groupd"
 	"brsmn/internal/mcast"
-	"brsmn/internal/rbn"
 	"brsmn/internal/sched"
 	"brsmn/internal/swbox"
 )
@@ -31,11 +30,11 @@ type chaosRig struct {
 func newChaosRig(t *testing.T, n int) *chaosRig {
 	t.Helper()
 	inj := NewInjector(11)
-	mon, err := NewMonitor(Config{N: n, Engine: rbn.Sequential, ProbeCount: 4, ProbeEvery: 1}, inj)
+	mon, err := NewMonitor(Config{N: n, ProbeCount: 4, ProbeEvery: 1}, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gm, err := groupd.NewManager(groupd.Config{N: n, Engine: rbn.Sequential, Workers: 2, Policy: mon})
+	gm, err := groupd.NewManager(groupd.Config{N: n, Policy: mon})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,15 +245,13 @@ func TestChaosFaultMidChurn(t *testing.T) {
 func TestChaosConcurrentChurn(t *testing.T) {
 	const n = 16
 	inj := NewInjector(13)
-	mon, err := NewMonitor(Config{N: n, Engine: rbn.Sequential, ProbeCount: 2, ProbeEvery: 1}, inj)
+	mon, err := NewMonitor(Config{N: n, ProbeCount: 2, ProbeEvery: 1}, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gm, err := groupd.NewManager(groupd.Config{
 		N:           n,
-		Engine:      rbn.Sequential,
 		EpochPeriod: time.Millisecond,
-		Workers:     2,
 		Policy:      mon,
 	})
 	if err != nil {
@@ -334,14 +331,14 @@ func TestChaosIncrementalEpochCounters(t *testing.T) {
 	const n = 16
 	inj := NewInjector(11)
 	newMon := func() *Monitor {
-		mon, err := NewMonitor(Config{N: n, Engine: rbn.Sequential, ProbeCount: 4}, inj)
+		mon, err := NewMonitor(Config{N: n, ProbeCount: 4}, inj)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return mon
 	}
 	mon, ref := newMon(), newMon()
-	gm, err := groupd.NewManager(groupd.Config{N: n, Engine: rbn.Sequential, Workers: 2, Policy: mon})
+	gm, err := groupd.NewManager(groupd.Config{N: n, Policy: mon})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"brsmn/internal/fabric"
 	"brsmn/internal/mcast"
 	"brsmn/internal/obs"
-	"brsmn/internal/rbn"
 	"brsmn/internal/workload"
 )
 
@@ -22,9 +21,6 @@ import (
 type Config struct {
 	// N is the (fixed) network size, a power of two >= 2.
 	N int
-	// Engine runs the switch-setting sweeps of probe routing and
-	// quarantine replanning.
-	Engine rbn.Engine
 	// ProbeCount is the number of built-in self-test assignments per
 	// probe round (default 4).
 	ProbeCount int
@@ -101,7 +97,7 @@ type Monitor struct {
 // serving path). The probe set is routed fault-free up front.
 func NewMonitor(cfg Config, inj *Injector) (*Monitor, error) {
 	cfg.applyDefaults()
-	nw, err := core.New(cfg.N, cfg.Engine)
+	nw, err := core.New(cfg.N)
 	if err != nil {
 		return nil, fmt.Errorf("faultd: %w", err)
 	}
@@ -109,7 +105,7 @@ func NewMonitor(cfg Config, inj *Injector) (*Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	planner, err := core.NewPlanner(cfg.N, cfg.Engine)
+	planner, err := core.NewPlanner(cfg.N)
 	if err != nil {
 		return nil, fmt.Errorf("faultd: %w", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"brsmn/internal/netsim"
-	"brsmn/internal/rbn"
 	"brsmn/internal/swbox"
 	"brsmn/internal/workload"
 )
@@ -19,7 +18,7 @@ func TestInjectorTampersPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := NewInjector(1)
-	rep, err := netsim.PipelineTampered(probes, 1, rbn.Sequential, inj)
+	rep, err := netsim.PipelineTampered(probes, 1, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +29,7 @@ func TestInjectorTampersPipeline(t *testing.T) {
 	for _, s := range []swbox.Setting{swbox.Parallel, swbox.Cross} {
 		inj.Clear()
 		inj.Add(Fault{Kind: StuckAt, Col: 3, Switch: 1, Stuck: s})
-		rep, err = netsim.PipelineTampered(probes, 1, rbn.Sequential, inj)
+		rep, err = netsim.PipelineTampered(probes, 1, inj)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,12 +15,13 @@
 // the price of 2 log2(n) - 1 sequential passes.
 //
 // Route and Network.Route allocate their Result afresh per call; the
-// serving hot path holds a Planner (or draws one from a PlannerPool),
-// whose Route reuses every pass plan, cell buffer and routing-tag arena
-// across calls.
+// serving hot path holds a Planner, whose Route reuses every pass plan,
+// cell buffer and routing-tag arena across calls.
 package feedback
 
 import (
+	"sync"
+
 	"brsmn/internal/core"
 	"brsmn/internal/mcast"
 	"brsmn/internal/rbn"
@@ -28,28 +29,30 @@ import (
 )
 
 // Network is the feedback BRSMN: one n x n RBN plus the feedback wrap.
+// It is safe for concurrent use: each route draws an idle Planner from a
+// sync.Pool, so idle planners beyond the steady concurrency go at GC.
 type Network struct {
 	n    int
-	eng  rbn.Engine
-	pool *PlannerPool
+	pool sync.Pool // idle *Planner values
 }
 
 // New returns an n x n feedback BRSMN.
-func New(n int, eng rbn.Engine) (*Network, error) {
-	pool, err := NewPlannerPool(n, eng)
+func New(n int) (*Network, error) {
+	pl, err := NewPlanner(n)
 	if err != nil {
 		return nil, err
 	}
-	return &Network{n: n, eng: eng, pool: pool}, nil
+	nw := &Network{n: n}
+	nw.pool.New = func() any {
+		pl, _ := NewPlanner(n) // n validated above
+		return pl
+	}
+	nw.pool.Put(pl)
+	return nw, nil
 }
 
 // N returns the network size.
 func (nw *Network) N() int { return nw.n }
-
-// Planners returns the network's planner pool — the zero-allocation
-// route path for callers that can respect a pooled Planner's aliasing
-// rules.
-func (nw *Network) Planners() *PlannerPool { return nw.pool }
 
 // Result records a routed assignment: the deliveries plus the RBN's
 // switch plan for every pass (the same physical switches, reconfigured).
@@ -91,7 +94,7 @@ func (nw *Network) Route(a mcast.Assignment) (*Result, error) {
 // The returned Result is detached from the pooled planner that computed
 // it, so callers may retain it indefinitely.
 func (nw *Network) RouteWithPayloads(a mcast.Assignment, payloads []any) (*Result, error) {
-	pl := nw.pool.Get()
+	pl := nw.pool.Get().(*Planner)
 	defer nw.pool.Put(pl)
 	res, err := pl.RouteWithPayloads(a, payloads)
 	if err != nil {
@@ -100,10 +103,10 @@ func (nw *Network) RouteWithPayloads(a mcast.Assignment, payloads []any) (*Resul
 	return res.Clone(), nil
 }
 
-// Route is a convenience constructing a sequential-engine feedback
-// network and routing one assignment.
+// Route is a convenience constructing a feedback network and routing
+// one assignment.
 func Route(a mcast.Assignment) (*Result, error) {
-	nw, err := New(a.N, rbn.Sequential)
+	nw, err := New(a.N)
 	if err != nil {
 		return nil, err
 	}

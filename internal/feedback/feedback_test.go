@@ -6,7 +6,6 @@ import (
 
 	"brsmn/internal/core"
 	"brsmn/internal/mcast"
-	"brsmn/internal/rbn"
 	"brsmn/internal/shuffle"
 	"brsmn/internal/workload"
 )
@@ -16,11 +15,11 @@ import (
 func TestFeedbackEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	for _, n := range []int{2, 4, 8, 32, 128} {
-		fb, err := New(n, rbn.Sequential)
+		fb, err := New(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		un, err := core.New(n, rbn.Sequential)
+		un, err := core.New(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +48,7 @@ func TestFeedbackEquivalence(t *testing.T) {
 func TestFeedbackPassCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for _, n := range []int{2, 4, 16, 256} {
-		fb, _ := New(n, rbn.Sequential)
+		fb, _ := New(n)
 		a := workload.Random(rng, n, 0.8, 0.5)
 		res, err := fb.Route(a)
 		if err != nil {
@@ -105,7 +104,7 @@ func TestFeedbackBroadcastAndCombs(t *testing.T) {
 // TestFeedbackPayloads checks payload delivery through the feedback path.
 func TestFeedbackPayloads(t *testing.T) {
 	n := 16
-	fb, _ := New(n, rbn.Sequential)
+	fb, _ := New(n)
 	a := workload.Broadcast(n, 7)
 	payloads := make([]any, n)
 	payloads[7] = "hello"
@@ -124,7 +123,7 @@ func TestFeedbackPayloads(t *testing.T) {
 // unrolled network's switch count: one RBN vs 2 log n - 1 RBN-equivalents.
 func TestHardwareSaving(t *testing.T) {
 	n := 1024
-	fb, _ := New(n, rbn.Sequential)
+	fb, _ := New(n)
 	if got, want := fb.HardwareSwitches(), n/2*10; got != want {
 		t.Errorf("HardwareSwitches = %d, want %d", got, want)
 	}
@@ -132,10 +131,10 @@ func TestHardwareSaving(t *testing.T) {
 
 // TestFeedbackErrors checks validation.
 func TestFeedbackErrors(t *testing.T) {
-	if _, err := New(3, rbn.Sequential); err == nil {
+	if _, err := New(3); err == nil {
 		t.Error("New(3) succeeded")
 	}
-	fb, _ := New(8, rbn.Sequential)
+	fb, _ := New(8)
 	a := workload.Broadcast(4, 0)
 	if _, err := fb.Route(a); err == nil {
 		t.Error("Route accepted wrong-size assignment")
@@ -150,11 +149,10 @@ func TestFeedbackErrors(t *testing.T) {
 }
 
 // TestFeedbackParallelEngine routes random 32x32 assignments end to
-// end. The feedback network runs its setting sweeps on the caller's
-// goroutine whatever the engine's Workers, so the sequential engine
-// covers every path.
+// end. The feedback network runs every setting sweep on the caller's
+// goroutine, so one network covers every path.
 func TestFeedbackParallelEngine(t *testing.T) {
-	fb, err := New(32, rbn.Sequential)
+	fb, err := New(32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +167,7 @@ func TestFeedbackParallelEngine(t *testing.T) {
 // TestFeedbackN2 covers the degenerate single-switch network (no BSN
 // levels, delivery pass only).
 func TestFeedbackN2(t *testing.T) {
-	fb, err := New(2, rbn.Sequential)
+	fb, err := New(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package feedback
 
 import (
 	"fmt"
-	"sync"
 
 	"brsmn/internal/bsn"
 	"brsmn/internal/core"
@@ -15,18 +14,17 @@ import (
 // Planner routes assignments through the feedback network against
 // retained storage, mirroring core.Planner's zero-allocation discipline:
 // the 2 log2(n) - 1 pass plans, the per-block sub-plans, the ping-pong
-// cell buffers, the engine scratch and the routing-tag arena all live on
+// cell buffers, the sweep scratch and the routing-tag arena all live on
 // the Planner and are recycled across routes, so a steady loop routing
 // same-size assignments performs no per-pass allocations.
 //
 // The Result a Planner returns aliases that storage (its Deliveries and
 // Passes are overwritten by the next route); callers that retain results
 // use Result.Clone or Network.Route. A Planner is not safe for
-// concurrent use — wrap it in a PlannerPool.
+// concurrent use; Network shares planners across goroutines.
 type Planner struct {
-	n   int
-	m   int
-	eng rbn.Engine
+	n int
+	m int
 
 	// passes holds the retained full-size plan of every pass, in pass
 	// order: scatter+quasisort per level (sizes n, n/2, ..., 4), then
@@ -51,12 +49,12 @@ type Planner struct {
 }
 
 // NewPlanner returns a reusable planner for an n x n feedback network.
-func NewPlanner(n int, eng rbn.Engine) (*Planner, error) {
+func NewPlanner(n int) (*Planner, error) {
 	if !shuffle.IsPow2(n) || n < 2 {
 		return nil, fmt.Errorf("feedback: network size %d is not a power of two >= 2", n)
 	}
 	m := shuffle.Log2(n)
-	p := &Planner{n: n, m: m, eng: eng}
+	p := &Planner{n: n, m: m}
 	for size := n; size > 2; size /= 2 {
 		p.passes = append(p.passes, rbn.NewPlan(n), rbn.NewPlan(n))
 	}
@@ -225,10 +223,10 @@ func (p *Planner) levelPass(full *rbn.Plan, size int, cells []bsn.Cell, scatter 
 		var err error
 		if scatter {
 			if err = tag.Count(bt).CheckBSNInput(size); err == nil {
-				err = p.eng.ScatterPlanInto(dst, bt, 0, p.sc)
+				err = rbn.ScatterPlanInto(dst, bt, 0, p.sc)
 			}
 		} else {
-			err = p.eng.QuasisortPlanInto(dst, p.divided[:size], bt, p.sc)
+			err = rbn.QuasisortPlanInto(dst, p.divided[:size], bt, p.sc)
 		}
 		if err != nil {
 			return fmt.Errorf("feedback: block at %d (size %d): %w", off, size, err)
@@ -240,51 +238,4 @@ func (p *Planner) levelPass(full *rbn.Plan, size int, cells []bsn.Cell, scatter 
 		}
 	}
 	return nil
-}
-
-// PlannerPool hands out Planners for concurrent feedback routing. Put
-// returns a planner for reuse; planners are created on demand, so a
-// pool's retained footprint tracks its peak concurrency.
-type PlannerPool struct {
-	n    int
-	eng  rbn.Engine
-	mu   sync.Mutex
-	idle []*Planner
-}
-
-// NewPlannerPool returns a pool of n x n feedback planners.
-func NewPlannerPool(n int, eng rbn.Engine) (*PlannerPool, error) {
-	if !shuffle.IsPow2(n) || n < 2 {
-		return nil, fmt.Errorf("feedback: network size %d is not a power of two >= 2", n)
-	}
-	return &PlannerPool{n: n, eng: eng}, nil
-}
-
-// N returns the network size the pool's planners serve.
-func (pp *PlannerPool) N() int { return pp.n }
-
-// Get returns an idle planner, creating one if none is free.
-func (pp *PlannerPool) Get() *Planner {
-	pp.mu.Lock()
-	if k := len(pp.idle); k > 0 {
-		pl := pp.idle[k-1]
-		pp.idle[k-1] = nil
-		pp.idle = pp.idle[:k-1]
-		pp.mu.Unlock()
-		return pl
-	}
-	pp.mu.Unlock()
-	pl, _ := NewPlanner(pp.n, pp.eng)
-	return pl
-}
-
-// Put returns a planner to the pool. Results the planner handed out
-// alias its storage and must not be read after Put.
-func (pp *PlannerPool) Put(pl *Planner) {
-	if pl == nil || pl.n != pp.n {
-		return
-	}
-	pp.mu.Lock()
-	pp.idle = append(pp.idle, pl)
-	pp.mu.Unlock()
 }

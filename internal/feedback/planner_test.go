@@ -3,9 +3,9 @@ package feedback
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
-	"brsmn/internal/rbn"
 	"brsmn/internal/workload"
 )
 
@@ -15,11 +15,11 @@ import (
 func TestPlannerMatchesNetwork(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	for _, n := range []int{2, 4, 8, 32, 128} {
-		pl, err := NewPlanner(n, rbn.Sequential)
+		pl, err := NewPlanner(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nw, err := New(n, rbn.Sequential)
+		nw, err := New(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestPlannerMatchesNetwork(t *testing.T) {
 // the pooled planner being reused for a different assignment.
 func TestPlannerResultDetached(t *testing.T) {
 	n := 16
-	nw, err := New(n, rbn.Sequential)
+	nw, err := New(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,28 +75,42 @@ func TestPlannerResultDetached(t *testing.T) {
 	}
 }
 
-// TestPlannerPoolReuse checks the pool recycles planners and rejects
-// foreign ones.
-func TestPlannerPoolReuse(t *testing.T) {
-	pool, err := NewPlannerPool(8, rbn.Sequential)
+// TestNetworkConcurrentRoute shares one Network across goroutines, each
+// routing its own random traffic, and checks every delivery against the
+// assignment's owner map — the -race exercise of the planner pool.
+func TestNetworkConcurrentRoute(t *testing.T) {
+	const n, goroutines, iters = 32, 4, 20
+	nw, err := New(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := pool.Get()
-	if pl.N() != 8 {
-		t.Fatalf("pooled planner serves n=%d, want 8", pl.N())
+	var wg sync.WaitGroup
+	errc := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(70 + g)))
+			for i := 0; i < iters; i++ {
+				a := workload.Random(rng, n, rng.Float64(), rng.Float64())
+				res, err := nw.Route(a)
+				if err != nil {
+					errc <- fmt.Errorf("goroutine %d route %d: %w", g, i, err)
+					return
+				}
+				for out, want := range a.OutputOwner() {
+					if got := res.Deliveries[out].Source; got != want {
+						errc <- fmt.Errorf("goroutine %d route %d: output %d got source %d, want %d", g, i, out, got, want)
+						return
+					}
+				}
+			}
+		}(g)
 	}
-	pool.Put(pl)
-	if again := pool.Get(); again != pl {
-		t.Error("pool did not recycle the returned planner")
-	}
-	other, _ := NewPlanner(16, rbn.Sequential)
-	pool.Put(other)
-	if got := pool.Get(); got == other {
-		t.Error("pool handed out a planner of the wrong size")
-	}
-	if _, err := NewPlannerPool(5, rbn.Sequential); err == nil {
-		t.Error("NewPlannerPool(5) succeeded")
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
 	}
 }
 
@@ -105,7 +119,7 @@ func TestPlannerPoolReuse(t *testing.T) {
 // pooled path must match.
 func TestPlannerWarmRouteAllocs(t *testing.T) {
 	n := 64
-	pl, err := NewPlanner(n, rbn.Sequential)
+	pl, err := NewPlanner(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +145,7 @@ func TestPlannerWarmRouteAllocs(t *testing.T) {
 func BenchmarkPlannerRoute(b *testing.B) {
 	for _, n := range []int{64, 1024} {
 		b.Run(benchName(n), func(b *testing.B) {
-			pl, err := NewPlanner(n, rbn.Sequential)
+			pl, err := NewPlanner(n)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -157,7 +171,7 @@ func BenchmarkPlannerRoute(b *testing.B) {
 func BenchmarkNetworkRoute(b *testing.B) {
 	for _, n := range []int{64, 1024} {
 		b.Run(benchName(n), func(b *testing.B) {
-			nw, err := New(n, rbn.Sequential)
+			nw, err := New(n)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -9,7 +9,6 @@ import (
 
 	"brsmn"
 	"brsmn/internal/obs"
-	"brsmn/internal/rbn"
 )
 
 // benchManager builds an n-port manager with one n/2-member group "g"
@@ -17,7 +16,7 @@ import (
 // multicast structure at every level).
 func benchManager(tb testing.TB, n int) *Manager {
 	tb.Helper()
-	m, err := NewManager(Config{N: n, Engine: rbn.Sequential})
+	m, err := NewManager(Config{N: n})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -176,7 +175,7 @@ func BenchmarkRunEpochSteady(b *testing.B) {
 // epoch to route every round and fill the plan cache.
 func epochBenchManager(b *testing.B, n, groups int, rng *rand.Rand, size func() int) *Manager {
 	b.Helper()
-	m, err := NewManager(Config{N: n, Engine: rbn.Sequential, CacheSize: 4096, Metrics: obs.NewRegistry()})
+	m, err := NewManager(Config{N: n, CacheSize: 4096, Metrics: obs.NewRegistry()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -326,7 +325,7 @@ func TestJoinLeaveAllocsLogN(t *testing.T) {
 func TestUnchangedEpochAllocs(t *testing.T) {
 	const n = 64
 	allocsAt := func(groups int) (float64, int) {
-		m := newTestManager(t, Config{N: n, Engine: rbn.Sequential, CacheSize: 4096})
+		m := newTestManager(t, Config{N: n, CacheSize: 4096})
 		rng := rand.New(rand.NewSource(5))
 		for g := 0; g < groups; g++ {
 			mustCreate(t, m, fmt.Sprintf("g%d", g), rng.Intn(n), rng.Perm(n)[:1+rng.Intn(12)])
@@ -347,5 +346,49 @@ func TestUnchangedEpochAllocs(t *testing.T) {
 	if large > small+4 {
 		t.Fatalf("unchanged epoch allocations grew with the population: %v at %d rounds, %v at %d rounds",
 			small, smallRounds, large, largeRounds)
+	}
+}
+
+// TestMissedRoundAllocs pins what routing a missed round costs: one
+// route on the planner the epoch holds, the round's delivery vector, its
+// request list, assignment and memo key — about 8 objects, with no
+// goroutine, channel, reorder map or detached Result per round.
+// Clearing the memo before each epoch makes every round miss while
+// every plan still hits, so the difference from an unchanged epoch is
+// the routing of the rounds alone.
+func TestMissedRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a quarter of its Puts, so some epochs build a planner")
+	}
+	const n = 64
+	m := newTestManager(t, Config{N: n, CacheSize: 4096})
+	rng := rand.New(rand.NewSource(5))
+	for g := 0; g < 40; g++ {
+		mustCreate(t, m, fmt.Sprintf("g%d", g), rng.Intn(n), rng.Perm(n)[:1+rng.Intn(12)])
+	}
+	rep, err := m.RunEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := len(rep.Rounds)
+	if rounds < 2 {
+		t.Fatalf("population scheduled into %d rounds, want >= 2", rounds)
+	}
+	epoch := func() {
+		if _, err := m.RunEpoch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unchanged := testing.AllocsPerRun(5, epoch)
+	missed := testing.AllocsPerRun(5, func() {
+		m.epochMu.Lock()
+		m.memo.rows = nil
+		m.epochMu.Unlock()
+		epoch()
+	})
+	perRound := (missed - unchanged) / float64(rounds)
+	t.Logf("%d rounds: unchanged epoch %v allocs, all rounds missed %v (%.1f per round)", rounds, unchanged, missed, perRound)
+	if perRound > 10 {
+		t.Fatalf("a missed round allocates %.1f objects, want <= 10", perRound)
 	}
 }

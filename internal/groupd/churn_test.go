@@ -9,7 +9,6 @@ import (
 
 	"brsmn/internal/core"
 	"brsmn/internal/mcast"
-	"brsmn/internal/rbn"
 )
 
 // verifyEpoch checks one epoch report against first principles: every
@@ -20,7 +19,7 @@ import (
 // membership frozen while no churn runs.
 func verifyEpoch(t *testing.T, n int, rep *EpochReport, sources map[string]int, members map[string][]int) {
 	t.Helper()
-	nw, err := core.New(n, rbn.Sequential)
+	nw, err := core.New(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestChurnSoak(t *testing.T) {
 		cycles = 15
 	)
 	rng := rand.New(rand.NewSource(42))
-	m := newTestManager(t, Config{N: n, CacheSize: 8, Workers: 2})
+	m := newTestManager(t, Config{N: n, CacheSize: 8})
 
 	for g := 0; g < groups; g++ {
 		// Sources collide on purpose: the scheduler must separate them.
@@ -139,7 +138,6 @@ func TestConcurrentChurn(t *testing.T) {
 		CacheSize:      8,
 		EpochPeriod:    time.Millisecond,
 		EpochThreshold: 10,
-		Workers:        2,
 	})
 	for g := 0; g < 6; g++ {
 		mustCreate(t, m, fmt.Sprintf("g%d", g), g, nil)

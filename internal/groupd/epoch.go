@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"brsmn/internal/controller"
 	"brsmn/internal/sched"
 	"brsmn/internal/store"
 )
@@ -63,10 +62,10 @@ type memoRow struct {
 
 // RunEpoch executes one reroute epoch synchronously: snapshot the live
 // groups, partition them into conflict-free rounds, route every round
-// the previous epoch did not already route (rounds run on
-// Config.Workers concurrent routings), and refresh the plan cache —
-// changed groups replan, the rest hit. Epochs are serialized;
-// membership changes landing mid-epoch count toward the next one.
+// the previous epoch did not already route (one after the other on one
+// pooled planner), and refresh the plan cache — changed groups replan,
+// the rest hit. Epochs are serialized; membership changes landing
+// mid-epoch count toward the next one.
 func (m *Manager) RunEpoch() (*EpochReport, error) {
 	if m.closed.Load() {
 		return nil, ErrClosed
@@ -163,29 +162,31 @@ func (m *Manager) epochOver(start time.Time, snaps []groupSnapshot) (*EpochRepor
 				as[i], rejected[i] = m.cfg.Policy.FilterAssignment(as[i])
 			}
 		}
-		routed, err := controller.RouteAllOn(m.nw, as, m.cfg.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("groupd: epoch routing: %w", err)
-		}
-		for _, sr := range routed {
-			r := missIdx[sr.Index]
-			if sr.Err != nil {
-				return nil, fmt.Errorf("groupd: epoch round %d: %w", r, sr.Err)
+		// The result aliases the planner, so each round's deliveries
+		// are read out before the next round routes over them.
+		pool := m.nw.Planners()
+		pl := pool.Get()
+		for i, a := range as {
+			r := missIdx[i]
+			res, err := pl.Route(a)
+			if err != nil {
+				pool.Put(pl)
+				return nil, fmt.Errorf("groupd: epoch round %d: %w", r, err)
 			}
 			vec := make([]int, m.cfg.N)
-			for out, d := range sr.Res.Deliveries {
+			for out, d := range res.Deliveries {
 				vec[out] = d.Source
 			}
 			rr := &rep.Rounds[r]
-			rr.Deliveries, rr.Rejected = vec, rejected[sr.Index]
+			rr.Deliveries, rr.Rejected = vec, rejected[i]
 			if len(rr.Rejected) > 0 {
 				rep.Quarantined += len(rr.Rejected)
 				rep.DegradedRounds++
 				continue
 			}
-			k := missKeys[sr.Index]
-			next[k] = memoRow{key: k, deliveries: vec}
+			next[missKeys[i]] = memoRow{key: missKeys[i], deliveries: vec}
 		}
+		pool.Put(pl)
 	}
 	m.memo = roundMemo{version: pv, rows: next, key: key}
 

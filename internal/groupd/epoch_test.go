@@ -8,11 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"brsmn/internal/controller"
 	"brsmn/internal/core"
 	"brsmn/internal/faultd"
 	"brsmn/internal/obs"
-	"brsmn/internal/rbn"
 	"brsmn/internal/sched"
 	"brsmn/internal/swbox"
 )
@@ -64,23 +62,20 @@ func fullSweep(t *testing.T, n int, snaps []groupSnapshot, policy FaultPolicy) s
 			}
 		}
 	}
-	nw, err := core.New(n, rbn.Sequential)
+	nw, err := core.New(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	routed, err := controller.RouteAllOn(nw, as, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sr := range routed {
-		if sr.Err != nil {
-			t.Fatal(sr.Err)
+	for r, a := range as {
+		routed, err := nw.Route(a)
+		if err != nil {
+			t.Fatal(err)
 		}
 		vec := make([]int, n)
-		for out, d := range sr.Res.Deliveries {
+		for out, d := range routed.Deliveries {
 			vec[out] = d.Source
 		}
-		res.rounds[sr.Index].Deliveries = vec
+		res.rounds[r].Deliveries = vec
 	}
 	return res
 }
@@ -145,14 +140,14 @@ func TestEpochIncrementalMatchesFullSweep(t *testing.T) {
 	)
 	inj := faultd.NewInjector(5)
 	newMon := func() *faultd.Monitor {
-		mon, err := faultd.NewMonitor(faultd.Config{N: n, Engine: rbn.Sequential, ProbeCount: 4}, inj)
+		mon, err := faultd.NewMonitor(faultd.Config{N: n, ProbeCount: 4}, inj)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return mon
 	}
 	mon, ref := newMon(), newMon()
-	m := newTestManager(t, Config{N: n, Workers: 2, Policy: mon, Metrics: obs.NewRegistry()})
+	m := newTestManager(t, Config{N: n, Policy: mon, Metrics: obs.NewRegistry()})
 	rng := rand.New(rand.NewSource(21))
 
 	epoch := func(label string) *EpochReport {
@@ -255,7 +250,7 @@ func TestEpochIncrementalMatchesFullSweep(t *testing.T) {
 // the snapshot the reference sweeps, so the reports must still match.
 func TestEpochIncrementalConcurrentJoins(t *testing.T) {
 	const n = 32
-	m := newTestManager(t, Config{N: n, Workers: 2})
+	m := newTestManager(t, Config{N: n})
 	rng := rand.New(rand.NewSource(33))
 	for g := 0; g < 12; g++ {
 		mustCreate(t, m, fmt.Sprintf("g%d", g), rng.Intn(n), randomMembers(rng, n, 1+rng.Intn(6)))

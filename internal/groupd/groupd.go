@@ -10,7 +10,7 @@
 //   - an epoch scheduler: membership changes accumulate, and every epoch
 //     (timer tick or pending-change threshold) the live groups are
 //     partitioned into conflict-free rounds by internal/sched and routed
-//     concurrently through internal/controller, so overlapping groups
+//     one after the other on a pooled planner, so overlapping groups
 //     coexist the way real traffic does;
 //   - a plan cache: an LRU keyed by (group ID, generation) holding
 //     plancodec-encoded column programs, so rerouting an unchanged group
@@ -37,7 +37,6 @@ import (
 	"brsmn/internal/mcast"
 	"brsmn/internal/obs"
 	"brsmn/internal/plancodec"
-	"brsmn/internal/rbn"
 	"brsmn/internal/shuffle"
 	"brsmn/internal/store"
 )
@@ -60,8 +59,6 @@ var (
 type Config struct {
 	// N is the (fixed) network size, a power of two >= 2.
 	N int
-	// Engine runs the distributed switch-setting sweeps.
-	Engine rbn.Engine
 	// CacheSize caps the plan cache in entries (default 1024).
 	CacheSize int
 	// EpochPeriod drives the timer-based epoch loop; 0 disables the
@@ -70,9 +67,6 @@ type Config struct {
 	// EpochThreshold forces an early epoch once this many membership
 	// changes are pending; 0 disables threshold-driven epochs.
 	EpochThreshold int
-	// Workers is the number of rounds routed concurrently per epoch
-	// (default 1).
-	Workers int
 	// PatchThreshold bounds incremental plan patching on the serving
 	// path: a Plan cache miss whose group moved at most this many
 	// generations past the manager's retained patched route applies the
@@ -115,9 +109,6 @@ type Config struct {
 func (c *Config) applyDefaults() {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 1024
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 	if c.PatchThreshold == 0 {
 		c.PatchThreshold = 8
@@ -189,7 +180,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		return nil, fmt.Errorf("groupd: network size %d is not a power of two >= 2", cfg.N)
 	}
 	cfg.applyDefaults()
-	nw, err := core.New(cfg.N, cfg.Engine)
+	nw, err := core.New(cfg.N)
 	if err != nil {
 		return nil, err
 	}

@@ -6,14 +6,10 @@ import (
 	"time"
 
 	"brsmn/internal/plancodec"
-	"brsmn/internal/rbn"
 )
 
 func newTestManager(t *testing.T, cfg Config) *Manager {
 	t.Helper()
-	if cfg.Engine.Workers == 0 {
-		cfg.Engine = rbn.Sequential
-	}
 	m, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +294,7 @@ func TestThresholdDrivenEpoch(t *testing.T) {
 }
 
 func TestTimerDrivenEpochAndClose(t *testing.T) {
-	m, err := NewManager(Config{N: 8, Engine: rbn.Sequential, EpochPeriod: 2 * time.Millisecond})
+	m, err := NewManager(Config{N: 8, EpochPeriod: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

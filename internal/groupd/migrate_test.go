@@ -3,8 +3,6 @@ package groupd
 import (
 	"bytes"
 	"testing"
-
-	"brsmn/internal/rbn"
 )
 
 // TestInstallEqualGenSeedsOnlyMatchingPlan checks Install's
@@ -13,7 +11,7 @@ import (
 // copies hold the same group. A diverged copy's plan would route the
 // wrong member set.
 func TestInstallEqualGenSeedsOnlyMatchingPlan(t *testing.T) {
-	src := newTestManager(t, Config{N: 16, Engine: rbn.Sequential})
+	src := newTestManager(t, Config{N: 16})
 	if _, err := src.Create("x", 0, []int{1, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +35,7 @@ func TestInstallEqualGenSeedsOnlyMatchingPlan(t *testing.T) {
 		{"same group", []int{1, 2}, true},
 		{"diverged copy", []int{3}, false},
 	} {
-		dst := newTestManager(t, Config{N: 16, Engine: rbn.Sequential})
+		dst := newTestManager(t, Config{N: 16})
 		if _, err := dst.Create("x", 0, c.members); err != nil {
 			t.Fatal(err)
 		}

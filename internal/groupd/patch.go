@@ -95,7 +95,7 @@ func (m *Manager) replanOrPatch(s *session, gen uint64, source int, members []in
 		a = filtered
 	}
 	if ps.pl == nil {
-		if ps.pl, err = core.NewPlanner(m.cfg.N, m.cfg.Engine); err != nil {
+		if ps.pl, err = core.NewPlanner(m.cfg.N); err != nil {
 			return nil, 0, err
 		}
 	}

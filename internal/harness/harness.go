@@ -23,7 +23,6 @@ import (
 	"brsmn/internal/mcast"
 	"brsmn/internal/netsim"
 	"brsmn/internal/paths"
-	"brsmn/internal/rbn"
 	"brsmn/internal/sched"
 	"brsmn/internal/shuffle"
 	"brsmn/internal/stats"
@@ -177,11 +176,11 @@ func WallClock(n, trials int, seed int64) (string, error) {
 	for i := range assignments {
 		assignments[i] = workload.Random(rng, n, 0.8, 0.5)
 	}
-	un, err := core.New(n, rbn.Sequential)
+	un, err := core.New(n)
 	if err != nil {
 		return "", err
 	}
-	fb, err := feedback.New(n, rbn.Sequential)
+	fb, err := feedback.New(n)
 	if err != nil {
 		return "", err
 	}
@@ -279,7 +278,7 @@ func PipelineExperiment(n, waves int, seed int64) (string, error) {
 	}
 	rows := [][]string{}
 	for _, gap := range []int{1, 2, 4} {
-		rep, err := netsim.Pipeline(as, gap, rbn.Sequential)
+		rep, err := netsim.Pipeline(as, gap)
 		if err != nil {
 			return "", err
 		}
@@ -418,7 +417,7 @@ func SaturationExperiment(n, slots int, seed int64) (string, error) {
 	rows := [][]string{}
 	for _, load := range []float64{0.1, 0.2, 0.3, 0.4, 0.5} {
 		rng := rand.New(rand.NewSource(seed))
-		nw, err := core.New(n, rbn.Sequential)
+		nw, err := core.New(n)
 		if err != nil {
 			return "", err
 		}

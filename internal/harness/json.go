@@ -14,26 +14,23 @@ import (
 	"brsmn/internal/feedback"
 	"brsmn/internal/mcast"
 	"brsmn/internal/netsim"
-	"brsmn/internal/rbn"
 	"brsmn/internal/workload"
 )
 
 // Measurement is one measured routing regime: mean wall-clock time and
 // mean heap allocation per routed assignment. Allocation figures come
-// from runtime.MemStats deltas around the whole trial loop, so they are
-// exact for single-goroutine regimes and close for parallel ones. A
-// regime measured over several runs (RouteBench) reports the median
+// from runtime.MemStats deltas around the whole trial loop; every regime
+// runs on one goroutine, so they are exact. A regime measured over several runs (RouteBench) reports the median
 // run's nsPerOp and the interquartile range of the runs as nsIqr.
 type Measurement struct {
 	Name        string `json:"name"`
-	Workers     int    `json:"workers"`
 	NsPerOp     int64  `json:"nsPerOp"`
 	NsIqr       int64  `json:"nsIqr,omitempty"`
 	AllocsPerOp uint64 `json:"allocsPerOp"`
 	BytesPerOp  uint64 `json:"bytesPerOp"`
 }
 
-func measure(name string, workers, trials int, f func() error) (Measurement, error) {
+func measure(name string, trials int, f func() error) (Measurement, error) {
 	// One untimed warm-up pass lets pooled arenas reach steady state so
 	// the numbers describe the regime, not its first call.
 	if err := f(); err != nil {
@@ -53,7 +50,6 @@ func measure(name string, workers, trials int, f func() error) (Measurement, err
 	t := uint64(trials)
 	return Measurement{
 		Name:        name,
-		Workers:     workers,
 		NsPerOp:     elapsed.Nanoseconds() / int64(trials),
 		AllocsPerOp: (after.Mallocs - before.Mallocs) / t,
 		BytesPerOp:  (after.TotalAlloc - before.TotalAlloc) / t,
@@ -68,10 +64,10 @@ const routeRuns = 5
 // nsPerOp with the interquartile range of the runs (the second and
 // fourth of five sorted values); allocation figures are the median
 // run's.
-func measureRuns(name string, workers, trials int, f func() error) (Measurement, error) {
+func measureRuns(name string, trials int, f func() error) (Measurement, error) {
 	runs := make([]Measurement, routeRuns)
 	for r := range runs {
-		m, err := measure(name, workers, trials, f)
+		m, err := measure(name, trials, f)
 		if err != nil {
 			return Measurement{}, err
 		}
@@ -98,16 +94,12 @@ type RouteBenchReport struct {
 
 // RouteBench measures the routing hot path across its regimes: a cold
 // network construction per routing, the pooled concurrency-safe
-// Network.Route, a reused sequential Planner, the reused planner with
-// the parallel sub-network recursion on `workers` workers, and
-// single-membership plan patching against a dense retained route
-// ("delta-churn"). Each regime is measured routeRuns times.
-func RouteBench(n, trials int, seed int64, workers int) (*RouteBenchReport, error) {
+// Network.Route, a reused Planner, and single-membership plan patching
+// against a dense retained route ("delta-churn"). Each regime is
+// measured routeRuns times.
+func RouteBench(n, trials int, seed int64) (*RouteBenchReport, error) {
 	if trials < 1 {
 		trials = 1
-	}
-	if workers < 2 {
-		workers = 4
 	}
 	rng := rand.New(rand.NewSource(seed))
 	as := make([]mcast.Assignment, 8)
@@ -126,8 +118,8 @@ func RouteBench(n, trials int, seed int64, workers int) (*RouteBenchReport, erro
 	}
 
 	i := 0
-	cold, err := measureRuns("cold", 1, trials, func() error {
-		nw, err := core.New(n, rbn.Sequential)
+	cold, err := measureRuns("cold", trials, func() error {
+		nw, err := core.New(n)
 		if err != nil {
 			return err
 		}
@@ -140,12 +132,12 @@ func RouteBench(n, trials int, seed int64, workers int) (*RouteBenchReport, erro
 	}
 	rep.Regimes = append(rep.Regimes, cold)
 
-	nw, err := core.New(n, rbn.Sequential)
+	nw, err := core.New(n)
 	if err != nil {
 		return nil, err
 	}
 	i = 0
-	network, err := measureRuns("network", 1, trials, func() error {
+	network, err := measureRuns("network", trials, func() error {
 		_, err := nw.Route(next(i))
 		i++
 		return err
@@ -155,12 +147,12 @@ func RouteBench(n, trials int, seed int64, workers int) (*RouteBenchReport, erro
 	}
 	rep.Regimes = append(rep.Regimes, network)
 
-	pl, err := core.NewPlanner(n, rbn.Sequential)
+	pl, err := core.NewPlanner(n)
 	if err != nil {
 		return nil, err
 	}
 	i = 0
-	planner, err := measureRuns("planner", 1, trials, func() error {
+	planner, err := measureRuns("planner", trials, func() error {
 		_, err := pl.Route(next(i))
 		i++
 		return err
@@ -170,26 +162,11 @@ func RouteBench(n, trials int, seed int64, workers int) (*RouteBenchReport, erro
 	}
 	rep.Regimes = append(rep.Regimes, planner)
 
-	plp, err := core.NewPlanner(n, rbn.Engine{Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	i = 0
-	par, err := measureRuns("planner-parallel", workers, trials, func() error {
-		_, err := plp.Route(next(i))
-		i++
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Regimes = append(rep.Regimes, par)
-
 	// Delta-churn: one output toggling in and out of a dense n-1 member
 	// group. The toggled output's sibling stays a member, so every op is
 	// the deep-leaf patch — the near-constant-time regime the incremental
 	// path promises for single-member churn.
-	pld, err := core.NewPlanner(n, rbn.Sequential)
+	pld, err := core.NewPlanner(n)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +182,7 @@ func RouteBench(n, trials int, seed int64, workers int) (*RouteBenchReport, erro
 		return nil, err
 	}
 	join := false // output 2 starts as a member: the first op leaves
-	churn, err := measureRuns("delta-churn", 1, trials, func() error {
+	churn, err := measureRuns("delta-churn", trials, func() error {
 		_, _, err := pld.RoutePatch(0, 2, join)
 		join = !join
 		return err
@@ -234,11 +211,11 @@ func WallClockJSON(n, trials int, seed int64) (*WallClockReport, error) {
 	for i := range assignments {
 		assignments[i] = workload.Random(rng, n, 0.8, 0.5)
 	}
-	un, err := core.New(n, rbn.Sequential)
+	un, err := core.New(n)
 	if err != nil {
 		return nil, err
 	}
-	fb, err := feedback.New(n, rbn.Sequential)
+	fb, err := feedback.New(n)
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +254,7 @@ func WallClockJSON(n, trials int, seed int64) (*WallClockReport, error) {
 			return err
 		}},
 	} {
-		m, err := measure(spec.name, 1, trials, batch(spec.f))
+		m, err := measure(spec.name, trials, batch(spec.f))
 		if err != nil {
 			return nil, err
 		}
@@ -315,7 +292,7 @@ func PipelineJSON(n, waves int, seed int64) (*PipelineReport, error) {
 	}
 	rep := &PipelineReport{Experiment: "pipeline", N: n, Waves: waves, Seed: seed}
 	for _, gap := range []int{1, 2, 4} {
-		r, err := netsim.Pipeline(as, gap, rbn.Sequential)
+		r, err := netsim.Pipeline(as, gap)
 		if err != nil {
 			return nil, err
 		}

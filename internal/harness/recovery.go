@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"brsmn/internal/groupd"
-	"brsmn/internal/rbn"
 	"brsmn/internal/store"
 )
 
@@ -134,7 +133,7 @@ func benchLogReplay(n, groups, trials int, seed int64) (RecoveryMeasurement, err
 			os.RemoveAll(dir)
 			return m, err
 		}
-		gm, err := groupd.NewManager(groupd.Config{N: n, Engine: rbn.Sequential, Store: st})
+		gm, err := groupd.NewManager(groupd.Config{N: n, Store: st})
 		if err != nil {
 			st.Close()
 			os.RemoveAll(dir)
@@ -199,7 +198,7 @@ func benchSnapshotRestore(n, groups, trials int, seed int64) (RecoveryMeasuremen
 	if err != nil {
 		return m, err
 	}
-	gm, err := groupd.NewManager(groupd.Config{N: n, Engine: rbn.Sequential, Store: st})
+	gm, err := groupd.NewManager(groupd.Config{N: n, Store: st})
 	if err != nil {
 		st.Close()
 		return m, err
@@ -231,7 +230,7 @@ func benchSnapshotRestore(n, groups, trials int, seed int64) (RecoveryMeasuremen
 		if err != nil {
 			return m, err
 		}
-		gm, err := groupd.NewManager(groupd.Config{N: n, Engine: rbn.Sequential, Store: st})
+		gm, err := groupd.NewManager(groupd.Config{N: n, Store: st})
 		if err != nil {
 			st.Close()
 			return m, err

@@ -7,7 +7,6 @@ import (
 
 	"brsmn/internal/backend"
 	"brsmn/internal/mcast"
-	"brsmn/internal/rbn"
 	"brsmn/internal/workload"
 )
 
@@ -66,7 +65,7 @@ func TiersBench(n, trials int, seed int64) (*TiersReport, error) {
 		return total
 	}
 
-	backends, err := backend.All(n, rbn.Sequential)
+	backends, err := backend.All(n)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +89,7 @@ func TiersBench(n, trials int, seed int64) (*TiersReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("harness: %s on %s: %w", b.Name(), wl.name, err)
 			}
-			m, err := measure(b.Name(), 1, trials, func() error {
+			m, err := measure(b.Name(), trials, func() error {
 				_, err := b.Route(wl.a)
 				return err
 			})

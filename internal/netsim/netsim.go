@@ -16,7 +16,6 @@ import (
 	"brsmn/internal/core"
 	"brsmn/internal/fabric"
 	"brsmn/internal/mcast"
-	"brsmn/internal/rbn"
 	"brsmn/internal/swbox"
 )
 
@@ -67,8 +66,8 @@ func (r *Report) Speedup() float64 {
 // simulates cycle by cycle. Every wave's deliveries are verified against
 // its assignment. The per-cycle column occupancies are asserted
 // disjoint: two waves never configure the same column at the same time.
-func Pipeline(assignments []mcast.Assignment, gap int, eng rbn.Engine) (*Report, error) {
-	return pipeline(assignments, gap, eng, nil)
+func Pipeline(assignments []mcast.Assignment, gap int) (*Report, error) {
+	return pipeline(assignments, gap, nil)
 }
 
 // PipelineTampered is Pipeline with a fault-injection hook applied to
@@ -77,11 +76,11 @@ func Pipeline(assignments []mcast.Assignment, gap int, eng rbn.Engine) (*Report,
 // coordinates of the flattened program). Misdeliveries caused by the
 // faults are counted in Report.Misdelivered rather than failing the
 // run; a fault that strands a cell mid-hand-off still errors.
-func PipelineTampered(assignments []mcast.Assignment, gap int, eng rbn.Engine, t fabric.Tamperer) (*Report, error) {
-	return pipeline(assignments, gap, eng, t)
+func PipelineTampered(assignments []mcast.Assignment, gap int, t fabric.Tamperer) (*Report, error) {
+	return pipeline(assignments, gap, t)
 }
 
-func pipeline(assignments []mcast.Assignment, gap int, eng rbn.Engine, tamper fabric.Tamperer) (*Report, error) {
+func pipeline(assignments []mcast.Assignment, gap int, tamper fabric.Tamperer) (*Report, error) {
 	if len(assignments) == 0 {
 		return nil, fmt.Errorf("netsim: no assignments")
 	}
@@ -89,7 +88,7 @@ func pipeline(assignments []mcast.Assignment, gap int, eng rbn.Engine, tamper fa
 		return nil, fmt.Errorf("netsim: injection gap %d must be >= 1", gap)
 	}
 	n := assignments[0].N
-	nw, err := core.New(n, eng)
+	nw, err := core.New(n)
 	if err != nil {
 		return nil, err
 	}

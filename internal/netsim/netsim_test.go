@@ -6,7 +6,6 @@ import (
 
 	"brsmn/internal/cost"
 	"brsmn/internal/mcast"
-	"brsmn/internal/rbn"
 	"brsmn/internal/workload"
 	"brsmn/internal/xbar"
 )
@@ -20,7 +19,7 @@ func TestPipelineDeliveriesMatchOracle(t *testing.T) {
 		for i := range as {
 			as[i] = workload.Random(rng, n, rng.Float64(), rng.Float64())
 		}
-		rep, err := Pipeline(as, 1, rbn.Sequential)
+		rep, err := Pipeline(as, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +53,7 @@ func TestPipelineTiming(t *testing.T) {
 		for i := range as {
 			as[i] = workload.Random(rng, n, 0.7, 0.5)
 		}
-		rep, err := Pipeline(as, gap, rbn.Sequential)
+		rep, err := Pipeline(as, gap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +83,7 @@ func TestPipelineFillParallelism(t *testing.T) {
 	for i := range as {
 		as[i] = workload.Random(rng, n, 0.8, 0.5)
 	}
-	rep, err := Pipeline(as, 1, rbn.Sequential)
+	rep, err := Pipeline(as, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,15 +94,15 @@ func TestPipelineFillParallelism(t *testing.T) {
 
 // TestPipelineValidation checks error paths.
 func TestPipelineValidation(t *testing.T) {
-	if _, err := Pipeline(nil, 1, rbn.Sequential); err == nil {
+	if _, err := Pipeline(nil, 1); err == nil {
 		t.Error("accepted empty batch")
 	}
 	a := workload.Broadcast(8, 0)
-	if _, err := Pipeline([]mcast.Assignment{a}, 0, rbn.Sequential); err == nil {
+	if _, err := Pipeline([]mcast.Assignment{a}, 0); err == nil {
 		t.Error("accepted gap 0")
 	}
 	b := workload.Broadcast(16, 0)
-	if _, err := Pipeline([]mcast.Assignment{a, b}, 1, rbn.Sequential); err == nil {
+	if _, err := Pipeline([]mcast.Assignment{a, b}, 1); err == nil {
 		t.Error("accepted mixed sizes")
 	}
 }

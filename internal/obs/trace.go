@@ -19,9 +19,8 @@ type Stage struct {
 // inputs, and the switch settings emitted (Yang & Wang's O(n log² n)
 // gate / O(log² n) routing-time accounting, Section 7).
 //
-// The planner's recursion may run sub-BRSMNs concurrently, so the stage
-// fields are accumulated with atomic adds and represent CPU time summed
-// across the recursion, not wall-clock; TotalNs is wall-clock.
+// The stage fields sum the time spent in that stage over every node of
+// the recursion; TotalNs is the wall-clock time of the whole run.
 type RouteTrace struct {
 	// Key identifies what was routed — a group ID for groupd replans.
 	Key  string    `json:"key,omitempty"`
@@ -30,8 +29,8 @@ type RouteTrace struct {
 	// TotalNs is the wall-clock duration of the whole planning run.
 	TotalNs int64 `json:"totalNs"`
 
-	// Stage durations, CPU-time summed across the (possibly parallel)
-	// sub-BRSMN recursion.
+	// Stage durations, summed over every node of the sub-BRSMN
+	// recursion.
 	ScatterNs int64 `json:"scatterNs"` // BSN pass 1: α-elimination sweeps
 	QuasiNs   int64 `json:"quasiNs"`   // BSN pass 2: quasisort sweeps
 	AdvanceNs int64 `json:"advanceNs"` // routing-tag sequence advancement
@@ -50,10 +49,6 @@ type RouteTrace struct {
 	// Extra carries spans appended by higher layers (flatten, encode…).
 	Extra []Stage `json:"extra,omitempty"`
 }
-
-// AddNs atomically accumulates d into the stage field at p — the helper
-// the parallel recursion uses.
-func AddNs(p *int64, d time.Duration) { atomic.AddInt64(p, int64(d)) }
 
 // AddStage appends a named span. Not safe for concurrent use; call it
 // only from the single goroutine that owns the trace.

@@ -32,7 +32,7 @@ type item struct {
 // Route realizes a (partial) permutation: perm[i] is the destination of
 // input i or negative for idle. It returns the per-output sources
 // (OutSource[d] = i iff perm[i] = d) after verifying them.
-func Route(perm []int, eng rbn.Engine) (*Result, error) {
+func Route(perm []int) (*Result, error) {
 	n := len(perm)
 	if !shuffle.IsPow2(n) || n < 2 {
 		return nil, fmt.Errorf("permnet: size %d is not a power of two >= 2", n)
@@ -72,7 +72,7 @@ func Route(perm []int, eng rbn.Engine) (*Result, error) {
 					blockTags[i] = tag.V1
 				}
 			}
-			sub, _, err := eng.QuasisortPlan(size, blockTags)
+			sub, _, err := rbn.QuasisortPlan(size, blockTags)
 			if err != nil {
 				return nil, fmt.Errorf("permnet: level %d block %d: %w", k, off/size, err)
 			}

@@ -3,14 +3,12 @@ package permnet
 import (
 	"math/rand"
 	"testing"
-
-	"brsmn/internal/rbn"
 )
 
 // checkPerm routes and verifies a (partial) permutation.
 func checkPerm(t *testing.T, perm []int) {
 	t.Helper()
-	res, err := Route(perm, rbn.Sequential)
+	res, err := Route(perm)
 	if err != nil {
 		t.Fatalf("Route(%v): %v", perm, err)
 	}
@@ -78,7 +76,7 @@ func TestPartialAndLarge(t *testing.T) {
 // TestLevelCount checks one composed plan per address bit.
 func TestLevelCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
-	res, err := Route(rng.Perm(64), rbn.Sequential)
+	res, err := Route(rng.Perm(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +87,13 @@ func TestLevelCount(t *testing.T) {
 
 // TestValidation checks error paths.
 func TestValidation(t *testing.T) {
-	if _, err := Route([]int{0, 1, 2}, rbn.Sequential); err == nil {
+	if _, err := Route([]int{0, 1, 2}); err == nil {
 		t.Error("accepted non-power-of-two size")
 	}
-	if _, err := Route([]int{1, 1}, rbn.Sequential); err == nil {
+	if _, err := Route([]int{1, 1}); err == nil {
 		t.Error("accepted duplicate destination")
 	}
-	if _, err := Route([]int{0, 9}, rbn.Sequential); err == nil {
+	if _, err := Route([]int{0, 9}); err == nil {
 		t.Error("accepted out-of-range destination")
 	}
 }

@@ -35,7 +35,7 @@ func BenchmarkSweeps(b *testing.B) {
 	tags := sweepInput(n)
 	sc := NewScratch(n)
 	sp, qp := NewPlan(n), NewPlan(n)
-	if err := Sequential.ScatterPlanInto(sp, tags, 0, sc); err != nil {
+	if err := ScatterPlanInto(sp, tags, 0, sc); err != nil {
 		b.Fatal(err)
 	}
 	mid, err := ApplyTags(sp, tags)
@@ -43,7 +43,7 @@ func BenchmarkSweeps(b *testing.B) {
 		b.Fatal(err)
 	}
 	divided := make([]tag.Value, n)
-	if err := Sequential.QuasisortPlanInto(qp, divided, mid, sc); err != nil {
+	if err := QuasisortPlanInto(qp, divided, mid, sc); err != nil {
 		b.Fatal(err)
 	}
 	cells := make([]int32, n)
@@ -56,7 +56,7 @@ func BenchmarkSweeps(b *testing.B) {
 	b.Run("scatter", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := Sequential.ScatterPlanInto(sp, tags, 0, sc); err != nil {
+			if err := ScatterPlanInto(sp, tags, 0, sc); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -64,7 +64,7 @@ func BenchmarkSweeps(b *testing.B) {
 	b.Run("quasisort", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := Sequential.QuasisortPlanInto(qp, divided, mid, sc); err != nil {
+			if err := QuasisortPlanInto(qp, divided, mid, sc); err != nil {
 				b.Fatal(err)
 			}
 		}

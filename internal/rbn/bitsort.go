@@ -20,17 +20,11 @@ import (
 // permutation's current address bit into ascending order,
 // 0^(n/2) 1^(n/2) — the bit-sorting network of Section 4.
 func BitSortPlan(n int, gamma []bool, s int) (*Plan, error) {
-	return Sequential.BitSortPlan(n, gamma, s)
-}
-
-// BitSortPlan is the engine-parameterized form of the package-level
-// function.
-func (e Engine) BitSortPlan(n int, gamma []bool, s int) (*Plan, error) {
 	if !shuffle.IsPow2(n) || n < 2 {
 		return nil, fmt.Errorf("rbn: network size %d is not a power of two >= 2", n)
 	}
 	p := NewPlan(n)
-	if err := e.BitSortPlanInto(p, gamma, s, nil); err != nil {
+	if err := BitSortPlanInto(p, gamma, s, nil); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -39,7 +33,7 @@ func (e Engine) BitSortPlan(n int, gamma []bool, s int) (*Plan, error) {
 // BitSortPlanInto computes the bit-sorting plan into p (fully
 // overwriting its settings), drawing the forward/backward sweep arrays
 // from sc; a nil sc allocates transient scratch.
-func (e Engine) BitSortPlanInto(p *Plan, gamma []bool, s int, sc *Scratch) error {
+func BitSortPlanInto(p *Plan, gamma []bool, s int, sc *Scratch) error {
 	n := p.N
 	if len(gamma) != n {
 		return fmt.Errorf("rbn: %d input marks for an %d x %d network", len(gamma), n, n)

@@ -1,17 +1,13 @@
 package rbn
 
-// Engine selects how the distributed setting algorithms are executed.
-// Every sweep is the paper's forward/backward tree walk (Tables 3–6) and
-// runs on the caller's goroutine; the per-level node parallelism of the
-// hardware is not simulated with goroutines.
+// Engine is an empty compatibility type. Every sweep in this package is
+// a plain function that runs the paper's forward/backward tree walk
+// (Tables 3–6) on the caller's goroutine, and core routes the
+// sub-BRSMNs of a level one after the other, so there is nothing left
+// to configure.
 //
-// Workers is not read by this package: it is the fork width of the
-// sub-BRSMN recursion in core's planner, which routes the two
-// independent half-size networks of a level concurrently. Workers <= 1
-// routes sequentially. Every setting produces bit-identical plans.
-type Engine struct {
-	Workers int
-}
-
-// Sequential is the default engine.
-var Sequential = Engine{Workers: 1}
+// Its one caller is the benchmark replay (brsmnperf/replay.go), which
+// still passes rbn.Engine{} to core.New and core.NewPlanner; both take
+// it as an ignored trailing variadic. The next change to the benchmark
+// drops that argument, and this type and the two variadics go with it.
+type Engine struct{}

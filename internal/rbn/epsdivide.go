@@ -15,18 +15,12 @@ import (
 // a (real or dummy) 1. A plain bit-sorting pass on the resulting sort bits
 // then realizes the quasisorting function.
 func EpsDivide(tags []tag.Value) ([]tag.Value, error) {
-	return Sequential.EpsDivide(tags)
-}
-
-// EpsDivide is the engine-parameterized form of the package-level
-// function.
-func (e Engine) EpsDivide(tags []tag.Value) ([]tag.Value, error) {
 	n := len(tags)
 	if !shuffle.IsPow2(n) || n < 2 {
 		return nil, fmt.Errorf("rbn: input size %d is not a power of two >= 2", n)
 	}
 	out := make([]tag.Value, n)
-	if err := e.EpsDivideInto(out, tags, nil); err != nil {
+	if err := EpsDivideInto(out, tags, nil); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -35,7 +29,7 @@ func (e Engine) EpsDivide(tags []tag.Value) ([]tag.Value, error) {
 // EpsDivideInto is EpsDivide writing the relabelled vector into dst
 // (len(dst) == len(tags), dst may alias tags), drawing the sweep arrays
 // from sc; a nil sc allocates transient scratch.
-func (e Engine) EpsDivideInto(dst []tag.Value, tags []tag.Value, sc *Scratch) error {
+func EpsDivideInto(dst []tag.Value, tags []tag.Value, sc *Scratch) error {
 	n := len(tags)
 	if !shuffle.IsPow2(n) || n < 2 {
 		return fmt.Errorf("rbn: input size %d is not a power of two >= 2", n)
@@ -158,18 +152,12 @@ func epsInvalidInputError(tags []tag.Value) error {
 // It returns the plan together with the ε-divided tag vector whose sort
 // bits the plan was computed for.
 func QuasisortPlan(n int, tags []tag.Value) (*Plan, []tag.Value, error) {
-	return Sequential.QuasisortPlan(n, tags)
-}
-
-// QuasisortPlan is the engine-parameterized form of the package-level
-// function.
-func (e Engine) QuasisortPlan(n int, tags []tag.Value) (*Plan, []tag.Value, error) {
 	if !shuffle.IsPow2(n) || n < 2 {
 		return nil, nil, fmt.Errorf("rbn: network size %d is not a power of two >= 2", n)
 	}
 	p := NewPlan(n)
 	divided := make([]tag.Value, n)
-	if err := e.QuasisortPlanInto(p, divided, tags, nil); err != nil {
+	if err := QuasisortPlanInto(p, divided, tags, nil); err != nil {
 		return nil, nil, err
 	}
 	return p, divided, nil
@@ -179,7 +167,7 @@ func (e Engine) QuasisortPlan(n int, tags []tag.Value) (*Plan, []tag.Value, erro
 // overwriting its settings) and the ε-divided tag vector into divided
 // (length p.N), drawing every sweep array from sc; a nil sc allocates
 // transient scratch.
-func (e Engine) QuasisortPlanInto(p *Plan, divided []tag.Value, tags []tag.Value, sc *Scratch) error {
+func QuasisortPlanInto(p *Plan, divided []tag.Value, tags []tag.Value, sc *Scratch) error {
 	n := p.N
 	if len(tags) != n {
 		return fmt.Errorf("rbn: %d input tags for an %d x %d network", len(tags), n, n)

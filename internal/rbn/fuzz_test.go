@@ -77,7 +77,7 @@ func fuzzReference(t *testing.T, tags []tag.Value, gamma []bool, s int) {
 	sc := NewScratch(2 * n)
 
 	got, want := NewPlan(n), NewPlan(n)
-	if err := Sequential.BitSortPlanInto(got, gamma, s, sc); err != nil {
+	if err := BitSortPlanInto(got, gamma, s, sc); err != nil {
 		t.Fatal(err)
 	}
 	if err := refBitSort(want, gamma, s); err != nil {
@@ -87,7 +87,7 @@ func fuzzReference(t *testing.T, tags []tag.Value, gamma []bool, s int) {
 	checkApply(t, got, tags)
 
 	got, want = NewPlan(n), NewPlan(n)
-	gerr := Sequential.ScatterPlanInto(got, tags, s, sc)
+	gerr := ScatterPlanInto(got, tags, s, sc)
 	if sameErr(t, "scatter", gerr, refScatter(want, tags, s)) {
 		samePlan(t, "scatter", got, want)
 		checkApply(t, got, tags)
@@ -96,7 +96,7 @@ func fuzzReference(t *testing.T, tags []tag.Value, gamma []bool, s int) {
 	for _, in := range [][]tag.Value{tags, quasiInput(tags)} {
 		got, want = NewPlan(n), NewPlan(n)
 		gdiv, wdiv := make([]tag.Value, n), make([]tag.Value, n)
-		gerr := Sequential.QuasisortPlanInto(got, gdiv, in, sc)
+		gerr := QuasisortPlanInto(got, gdiv, in, sc)
 		if sameErr(t, "quasisort", gerr, refQuasisort(want, wdiv, in)) {
 			samePlan(t, "quasisort", got, want)
 			if !slices.Equal(gdiv, wdiv) {
@@ -105,7 +105,7 @@ func fuzzReference(t *testing.T, tags []tag.Value, gamma []bool, s int) {
 			checkApply(t, got, gdiv)
 		}
 		edst := make([]tag.Value, n)
-		gerr = Sequential.EpsDivideInto(edst, in, sc)
+		gerr = EpsDivideInto(edst, in, sc)
 		if sameErr(t, "ε-divide", gerr, refEpsDivide(wdiv, in)) && !slices.Equal(edst, wdiv) {
 			t.Fatalf("ε-divide of %v: %v, reference %v", in, edst, wdiv)
 		}

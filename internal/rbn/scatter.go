@@ -24,17 +24,11 @@ import (
 // the same type: ε/α-addition) or Lemmas 2–5 (opposite types:
 // ε/α-elimination via broadcast switches).
 func ScatterPlan(n int, tags []tag.Value, s int) (*Plan, error) {
-	return Sequential.ScatterPlan(n, tags, s)
-}
-
-// ScatterPlan is the engine-parameterized form of the package-level
-// function.
-func (e Engine) ScatterPlan(n int, tags []tag.Value, s int) (*Plan, error) {
 	if !shuffle.IsPow2(n) || n < 2 {
 		return nil, fmt.Errorf("rbn: network size %d is not a power of two >= 2", n)
 	}
 	p := NewPlan(n)
-	if err := e.ScatterPlanInto(p, tags, s, nil); err != nil {
+	if err := ScatterPlanInto(p, tags, s, nil); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -45,7 +39,7 @@ func (e Engine) ScatterPlan(n int, tags []tag.Value, s int) (*Plan, error) {
 // transient scratch. This is the zero-allocation form used by the
 // routing planner: with a warm scratch and a preallocated plan the call
 // allocates nothing.
-func (e Engine) ScatterPlanInto(p *Plan, tags []tag.Value, s int, sc *Scratch) error {
+func ScatterPlanInto(p *Plan, tags []tag.Value, s int, sc *Scratch) error {
 	n := p.N
 	if len(tags) != n {
 		return fmt.Errorf("rbn: %d input tags for an %d x %d network", len(tags), n, n)

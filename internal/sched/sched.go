@@ -18,7 +18,6 @@ import (
 
 	"brsmn/internal/core"
 	"brsmn/internal/mcast"
-	"brsmn/internal/rbn"
 )
 
 // Request is one multicast demand: a source input and its destination
@@ -245,7 +244,7 @@ type Result struct {
 
 // RouteAll schedules the batch and routes every round through an n x n
 // BRSMN, verifying each round's deliveries.
-func RouteAll(n int, reqs []Request, eng rbn.Engine) (*Result, error) {
+func RouteAll(n int, reqs []Request) (*Result, error) {
 	roundIdx, err := scheduleIdx(n, reqs)
 	if err != nil {
 		return nil, err
@@ -263,7 +262,7 @@ func RouteAll(n int, reqs []Request, eng rbn.Engine) (*Result, error) {
 		return nil, err
 	}
 	res.Rounds = as
-	nw, err := core.New(n, eng)
+	nw, err := core.New(n)
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,6 @@ package sched
 import (
 	"math/rand"
 	"testing"
-
-	"brsmn/internal/rbn"
 )
 
 // randomRequests draws overlapping requests: sources and destinations
@@ -106,7 +104,7 @@ func TestRouteAllDeliversEveryRequest(t *testing.T) {
 	rng := rand.New(rand.NewSource(141))
 	for _, n := range []int{8, 32} {
 		reqs := randomRequests(rng, n, n)
-		res, err := RouteAll(n, reqs, rbn.Sequential)
+		res, err := RouteAll(n, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +132,7 @@ func TestRouteAllDuplicateRequests(t *testing.T) {
 		{Source: 1, Dests: []int{2, 3}},
 		{Source: 1, Dests: []int{2, 3}},
 	}
-	res, err := RouteAll(n, reqs, rbn.Sequential)
+	res, err := RouteAll(n, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

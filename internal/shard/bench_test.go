@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"brsmn/internal/groupd"
-	"brsmn/internal/rbn"
 )
 
 // benchSet builds a K-shard set at size n with `groups` groups of n/2
@@ -22,7 +21,7 @@ func benchSet(tb testing.TB, shards, n, groups int) (*Set, []string) {
 		Shards:     shards,
 		QueueDepth: 1024,
 		BatchMax:   64,
-		Group:      groupd.Config{N: n, Engine: rbn.Sequential},
+		Group:      groupd.Config{N: n},
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"brsmn/internal/groupd"
-	"brsmn/internal/rbn"
 	"brsmn/internal/store"
 )
 
@@ -36,9 +35,6 @@ func newDurableSet(t *testing.T, cfg Config) *Set {
 	t.Helper()
 	if cfg.Group.N == 0 {
 		cfg.Group.N = 16
-	}
-	if cfg.Group.Engine.Workers == 0 {
-		cfg.Group.Engine = rbn.Sequential
 	}
 	s, err := New(cfg)
 	if err != nil {

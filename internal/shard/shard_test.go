@@ -14,16 +14,12 @@ import (
 	"brsmn/internal/groupd"
 	"brsmn/internal/mcast"
 	"brsmn/internal/obs"
-	"brsmn/internal/rbn"
 )
 
 func newTestSet(t *testing.T, cfg Config) *Set {
 	t.Helper()
 	if cfg.Group.N == 0 {
 		cfg.Group.N = 16
-	}
-	if cfg.Group.Engine.Workers == 0 {
-		cfg.Group.Engine = rbn.Sequential
 	}
 	s, err := New(cfg)
 	if err != nil {

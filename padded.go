@@ -14,7 +14,7 @@ type PaddedNetwork struct {
 
 // NewPadded returns a multicast network with exactly `ports` usable
 // ports (ports >= 2).
-func NewPadded(ports int, opts ...Option) (*PaddedNetwork, error) {
+func NewPadded(ports int) (*PaddedNetwork, error) {
 	if ports < 2 {
 		return nil, fmt.Errorf("brsmn: %d ports out of range", ports)
 	}
@@ -22,7 +22,7 @@ func NewPadded(ports int, opts ...Option) (*PaddedNetwork, error) {
 	for n < ports {
 		n *= 2
 	}
-	inner, err := New(n, opts...)
+	inner, err := New(n)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 
 	"brsmn"
 	"brsmn/internal/core"
-	"brsmn/internal/rbn"
 	"brsmn/internal/workload"
 )
 
@@ -47,10 +46,8 @@ func equalResults(t *testing.T, label string, want, got *brsmn.Result) {
 }
 
 // TestPlannerDifferential pins the zero-allocation pipeline to the cold
-// path: for random assignments across sizes, a reused sequential
-// Planner, a reused parallel Planner (Workers > 1, exercising the
-// sub-network recursion's goroutine split), and the pooled
-// Network.Route must all produce results identical to a cold
+// path: for random assignments across sizes, a reused Planner and the
+// pooled Network.Route must both produce results identical to a cold
 // construct-and-route.
 func TestPlannerDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -60,10 +57,6 @@ func TestPlannerDifferential(t *testing.T) {
 	}
 	for _, n := range []int{8, 64, 512} {
 		seq, err := brsmn.NewPlanner(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := brsmn.NewPlanner(n, brsmn.WithParallelSetting(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,11 +75,6 @@ func TestPlannerDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			equalResults(t, fmt.Sprintf("n=%d trial %d planner", n, trial), cold, got)
-			got, err = par.Route(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			equalResults(t, fmt.Sprintf("n=%d trial %d parallel planner", n, trial), cold, got)
 			got, err = nw.Route(a)
 			if err != nil {
 				t.Fatal(err)
@@ -137,15 +125,14 @@ func TestPlannerResultLifetime(t *testing.T) {
 
 // TestNetworkConcurrentStress shares one Network across 8 goroutines
 // under mixed traffic shapes (random, Zipf heavy-tail, broadcast) and
-// verifies every result — the -race exercise of the planner pool and
-// the parallel recursion together.
+// verifies every result — the -race exercise of the planner pool.
 func TestNetworkConcurrentStress(t *testing.T) {
 	n := 256
 	iters := 12
 	if testing.Short() {
 		iters = 3
 	}
-	nw, err := brsmn.New(n, brsmn.WithParallelSetting(2))
+	nw, err := brsmn.New(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +186,7 @@ func TestRouteReuseAllocations(t *testing.T) {
 		t.Skip("allocation counting is not meaningful with -short's reduced warm-up")
 	}
 	n := 256
-	p, err := core.NewPlanner(n, rbn.Sequential)
+	p, err := core.NewPlanner(n)
 	if err != nil {
 		t.Fatal(err)
 	}
