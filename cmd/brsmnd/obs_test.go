@@ -63,7 +63,7 @@ func TestHandlerMetricsAndTrace(t *testing.T) {
 	for _, series := range []string{
 		"brsmn_epoch_duration_seconds",
 		"brsmn_plan_cache_ops_total",
-		"brsmn_planner_pool_ops_total",
+		`brsmn_plan_patches_total{result="full",shard="0"} 1`,
 		`brsmn_faultd_probe_rounds_total{shard="0"} 1`,
 		"brsmn_goroutines",
 		"brsmn_http_requests_total",

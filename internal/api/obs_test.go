@@ -63,7 +63,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		for _, series := range []string{
 			"# TYPE brsmn_epoch_duration_seconds histogram",
 			"brsmn_plan_cache_ops_total{op=\"miss\",shard=\"0\"}",
-			"brsmn_planner_pool_ops_total{op=\"get\",shard=\"0\"}",
+			"brsmn_plan_patches_total{result=\"full\",shard=\"0\"} 1",
 			"brsmn_http_requests_total{handler=\"group_create\",code=\"201\"} 1",
 			"brsmn_http_request_seconds",
 			"brsmn_groups{shard=\"0\"} 1",

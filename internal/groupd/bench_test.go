@@ -357,9 +357,6 @@ func TestUnchangedEpochAllocs(t *testing.T) {
 // every plan still hits, so the difference from an unchanged epoch is
 // the routing of the rounds alone.
 func TestMissedRoundAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop a quarter of its Puts, so some epochs build a planner")
-	}
 	const n = 64
 	m := newTestManager(t, Config{N: n, CacheSize: 4096})
 	rng := rand.New(rand.NewSource(5))

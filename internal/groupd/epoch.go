@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"brsmn/internal/core"
 	"brsmn/internal/sched"
 	"brsmn/internal/store"
 )
@@ -62,10 +63,11 @@ type memoRow struct {
 
 // RunEpoch executes one reroute epoch synchronously: snapshot the live
 // groups, partition them into conflict-free rounds, route every round
-// the previous epoch did not already route (one after the other on one
-// pooled planner), and refresh the plan cache — changed groups replan,
-// the rest hit. Epochs are serialized; membership changes landing
-// mid-epoch count toward the next one.
+// the previous epoch did not already route (one after the other on the
+// epoch planner), and refresh the plan cache through the one plan-miss
+// path — changed groups patch or replan, the rest hit. Epochs are
+// serialized; membership changes landing mid-epoch count toward the
+// next one.
 func (m *Manager) RunEpoch() (*EpochReport, error) {
 	if m.closed.Load() {
 		return nil, ErrClosed
@@ -162,15 +164,17 @@ func (m *Manager) epochOver(start time.Time, snaps []groupSnapshot) (*EpochRepor
 				as[i], rejected[i] = m.cfg.Policy.FilterAssignment(as[i])
 			}
 		}
+		if m.epochPl == nil {
+			if m.epochPl, err = core.NewPlanner(m.cfg.N); err != nil {
+				return nil, err
+			}
+		}
 		// The result aliases the planner, so each round's deliveries
 		// are read out before the next round routes over them.
-		pool := m.nw.Planners()
-		pl := pool.Get()
 		for i, a := range as {
 			r := missIdx[i]
-			res, err := pl.Route(a)
+			res, err := m.epochPl.Route(a)
 			if err != nil {
-				pool.Put(pl)
 				return nil, fmt.Errorf("groupd: epoch round %d: %w", r, err)
 			}
 			vec := make([]int, m.cfg.N)
@@ -186,13 +190,15 @@ func (m *Manager) epochOver(start time.Time, snaps []groupSnapshot) (*EpochRepor
 			}
 			next[missKeys[i]] = memoRow{key: missKeys[i], deliveries: vec}
 		}
-		pool.Put(pl)
 	}
 	m.memo = roundMemo{version: pv, rows: next, key: key}
 
+	// Every live group sits in a round, and every round was routed on
+	// the epoch planner this epoch or when it entered the memo, so the
+	// planner exists here.
 	for _, sn := range live {
 		rep.Fanout += len(sn.members)
-		if _, err := m.planFor(sn.id, sn.gen, sn.source, sn.members); err != nil {
+		if _, err := m.planOf(sn.s, sn.gen, sn.members, m.epochPl); err != nil {
 			return nil, fmt.Errorf("groupd: epoch plan for %q: %w", sn.id, err)
 		}
 	}

@@ -10,15 +10,21 @@
 //   - an epoch scheduler: membership changes accumulate, and every epoch
 //     (timer tick or pending-change threshold) the live groups are
 //     partitioned into conflict-free rounds by internal/sched and routed
-//     one after the other on a pooled planner, so overlapping groups
-//     coexist the way real traffic does;
+//     one after the other on the manager's epoch planner, so overlapping
+//     groups coexist the way real traffic does;
 //   - a plan cache: an LRU keyed by (group ID, generation) holding
 //     plancodec-encoded column programs, so rerouting an unchanged group
-//     is a cache hit instead of an O(n log^2 n) replan. Hit/miss/eviction
-//     counters are exposed for benchmarking.
+//     is a cache hit instead of an O(n log^2 n) replan. A miss has one
+//     path (patch.go), shared by Plan and the epoch's refresh: a patch of
+//     the plan planner's retained route when it is the group's, else a
+//     full route — on the plan planner for Plan, on the epoch planner for
+//     the epoch. Hit/miss/eviction counters are exposed for
+//     benchmarking.
 //
-// A Manager is safe for concurrent use by the HTTP handlers of
-// internal/api and its own epoch goroutine.
+// A Manager owns exactly two planners and no pool: its callers make
+// Plan calls one at a time (internal/shard gives each manager one
+// worker), and it runs one epoch at a time. It is safe for concurrent
+// use by the HTTP handlers of internal/api and its own epoch goroutine.
 package groupd
 
 import (
@@ -33,10 +39,7 @@ import (
 
 	"brsmn"
 	"brsmn/internal/core"
-	"brsmn/internal/fabric"
-	"brsmn/internal/mcast"
 	"brsmn/internal/obs"
-	"brsmn/internal/plancodec"
 	"brsmn/internal/shuffle"
 	"brsmn/internal/store"
 )
@@ -67,24 +70,14 @@ type Config struct {
 	// EpochThreshold forces an early epoch once this many membership
 	// changes are pending; 0 disables threshold-driven epochs.
 	EpochThreshold int
-	// PatchThreshold bounds incremental plan patching on the serving
-	// path: a Plan cache miss whose group moved at most this many
-	// generations past the manager's retained patched route applies the
-	// pending joins/leaves as O(log n) plan patches (core.RoutePatch)
-	// instead of a full O(n log^2 n) replan. 0 means the default (8);
-	// values above the per-session change-ring depth (16) are capped;
-	// negative disables patching. With a Policy set, patching runs only
-	// while the policy filter is a no-op at an unchanged version — a
-	// filtered assignment falls back to full replans until the fault
-	// clears.
-	PatchThreshold int
 	// Policy, when non-nil, filters every planned assignment around
 	// believed faults and hooks probe scheduling into the epoch loop
 	// (see FaultPolicy; implemented by internal/faultd).
 	Policy FaultPolicy
 	// Metrics, when non-nil, receives the manager's series: epoch
-	// duration/rounds histograms, replan latency, plan-cache and
-	// planner-pool counters (see metrics.go for the full reference).
+	// duration/rounds histograms, replan latency, patched-vs-full miss
+	// counters and plan-cache counters (see metrics.go for the full
+	// reference).
 	Metrics *obs.Registry
 	// MetricsLabel, when non-empty, is a rendered label pair (e.g.
 	// `shard="3"`) folded into every series this manager registers, so
@@ -104,18 +97,6 @@ type Config struct {
 	// on the fabric (faultd Fault.String() form); snapshots carry them
 	// so believed faults survive a restart alongside the groups.
 	FaultSpecs func() []string
-}
-
-func (c *Config) applyDefaults() {
-	if c.CacheSize <= 0 {
-		c.CacheSize = 1024
-	}
-	if c.PatchThreshold == 0 {
-		c.PatchThreshold = 8
-	}
-	if c.PatchThreshold > chgRing {
-		c.PatchThreshold = chgRing
-	}
 }
 
 // session is one registered group. Manager.regMu covers the registry
@@ -142,7 +123,6 @@ type session struct {
 // release with Close.
 type Manager struct {
 	cfg   Config
-	nw    *core.Network
 	cache *planCache
 
 	regMu  sync.RWMutex // covers groups
@@ -154,12 +134,13 @@ type Manager struct {
 
 	epochMu sync.Mutex // serializes RunEpoch
 	epochN  atomic.Int64
-	memo    roundMemo // previous epoch's routed rounds, under epochMu
+	memo    roundMemo     // previous epoch's routed rounds, under epochMu
+	epochPl *core.Planner // routes missed epoch rounds; built on the first, under epochMu
 	last    atomic.Pointer[EpochReport]
 
 	met    *managerMetrics // nil when Config.Metrics was nil
 	tracer *obs.TraceRecorder
-	patch  patchState // the serving path's retained incremental route
+	patch  patchState // the plan planner and its retained route
 
 	// Durability state; all zero when Config.Store is nil.
 	lastLSN         atomic.Uint64 // highest LSN this manager has appended or replayed
@@ -179,14 +160,11 @@ func NewManager(cfg Config) (*Manager, error) {
 	if !shuffle.IsPow2(cfg.N) || cfg.N < 2 {
 		return nil, fmt.Errorf("groupd: network size %d is not a power of two >= 2", cfg.N)
 	}
-	cfg.applyDefaults()
-	nw, err := core.New(cfg.N)
-	if err != nil {
-		return nil, err
+	if cfg.CacheSize <= 0 {
+		cfg.CacheSize = 1024
 	}
 	m := &Manager{
 		cfg:    cfg,
-		nw:     nw,
 		cache:  newPlanCache(cfg.CacheSize),
 		groups: make(map[string]*session),
 		kick:   make(chan struct{}, 1),
@@ -481,117 +459,25 @@ type PlanInfo struct {
 // Plan returns the group's standalone column program — the switch
 // settings a hardware configuration flow would load to realize this
 // group alone. Served from the plan cache when the group is unchanged
-// since the last computation. On a miss, a group only a few join/leaves
-// past the manager's retained patched route is rolled forward by
-// incremental plan patches (see patch.go); otherwise a full route +
-// flatten + encode.
+// since the last computation; a miss takes the one plan-miss path
+// (planOf, in patch.go).
 func (m *Manager) Plan(id string) (PlanInfo, error) {
 	s, err := m.sessionFor(id)
 	if err != nil {
 		return PlanInfo{}, err
 	}
-	// Fast path: an unchanged group needs only its generation to hit the
-	// cache — no O(n) member materialization.
+	// An unchanged group needs only its generation to hit the cache —
+	// no O(n) member materialization.
 	s.mu.Lock()
 	gen := s.gen
 	s.mu.Unlock()
-	if e, ok := m.cache.get(planKey{id: id, gen: gen, pv: m.policyVersion()}); ok {
-		return PlanInfo{ID: id, Gen: gen, Cached: true, Columns: e.columns, Blob: e.blob}, nil
-	}
-	s.mu.Lock()
-	gen = s.gen // may have moved past the missed generation; key consistently
-	source := s.group.Source()
-	members := s.group.Members()
-	chg := s.chg
-	s.mu.Unlock()
-	blob, columns, err := m.replanOrPatch(s, gen, source, members, &chg)
-	if err != nil {
-		return PlanInfo{}, err
-	}
-	m.cache.put(planKey{id: id, gen: gen, pv: m.policyVersion()}, blob, columns)
-	return PlanInfo{ID: id, Gen: gen, Cached: false, Columns: columns, Blob: blob}, nil
-}
-
-func (m *Manager) planFor(id string, gen uint64, source int, members []int) (PlanInfo, error) {
-	k := planKey{id: id, gen: gen, pv: m.policyVersion()}
-	if e, ok := m.cache.get(k); ok {
-		return PlanInfo{ID: id, Gen: gen, Cached: true, Columns: e.columns, Blob: e.blob}, nil
-	}
-	blob, columns, err := m.replan(id, source, members)
-	if err != nil {
-		return PlanInfo{}, err
-	}
-	m.cache.put(k, blob, columns)
-	return PlanInfo{ID: id, Gen: gen, Cached: false, Columns: columns, Blob: blob}, nil
-}
-
-// replan is the cache-miss path: a full O(n log^2 n) route of the
-// single-group assignment — filtered around believed faults when a
-// policy is set — flattened to physical columns and serialized. It
-// routes on a pooled planner and flattens the transient result in
-// place (Flatten copies every setting), so a replan burst reuses warm
-// arenas instead of rebuilding the pipeline per group.
-//
-// When the manager has a tracer and this group's sampling counter
-// trips, the route runs traced: the planner stamps its stage durations
-// and paper-level quantities, flatten/encode land as extra spans, and
-// the finished trace is recorded under the group ID.
-func (m *Manager) replan(id string, source int, members []int) ([]byte, int, error) {
-	start := time.Now()
-	dests := make([][]int, m.cfg.N)
-	dests[source] = members
-	a, err := mcast.New(m.cfg.N, dests)
-	if err != nil {
-		return nil, 0, err
-	}
-	if m.cfg.Policy != nil {
-		a, _ = m.cfg.Policy.FilterAssignment(a)
-	}
-	var tr *obs.RouteTrace
-	if m.tracer.ShouldSample(id) {
-		tr = &obs.RouteTrace{Key: id}
-	}
-	pool := m.nw.Planners()
-	pl := pool.Get()
-	var res *core.Result
-	if tr != nil {
-		res, err = pl.RouteTraced(a, tr)
-	} else {
-		res, err = pl.Route(a)
-	}
-	if err != nil {
-		pool.Put(pl)
-		return nil, 0, err
-	}
-	tFlatten := time.Now()
-	cols, err := fabric.Flatten(res)
-	pool.Put(pl)
-	if err != nil {
-		return nil, 0, err
-	}
-	if tr != nil {
-		tr.AddStage("flatten", time.Since(tFlatten))
-	}
-	tEncode := time.Now()
-	blob, err := plancodec.Encode(m.cfg.N, cols)
-	if err != nil {
-		return nil, 0, err
-	}
-	if tr != nil {
-		tr.AddStage("encode", time.Since(tEncode))
-		tr.Columns = len(cols)
-		m.tracer.Record(tr)
-	}
-	if m.met != nil {
-		m.met.replans.Inc()
-		m.met.replanDur.ObserveDuration(time.Since(start))
-	}
-	return blob, len(cols), nil
+	return m.planOf(s, gen, nil, nil)
 }
 
 // groupSnapshot is one group's membership frozen at epoch start. members
 // is shared with the session and must not be modified.
 type groupSnapshot struct {
+	s       *session
 	id      string
 	source  int
 	gen     uint64
@@ -608,6 +494,7 @@ func (m *Manager) snapshot() []groupSnapshot {
 	for _, s := range sessions {
 		s.mu.Lock()
 		out = append(out, groupSnapshot{
+			s:       s,
 			id:      s.id,
 			source:  s.group.Source(),
 			gen:     s.gen,

@@ -9,7 +9,7 @@ package groupd
 //	brsmn_epoch_rounds_routed_total   counter    {result}: routed | reused epoch rounds
 //	brsmn_replan_duration_seconds     histogram  cache-miss O(n log² n) replan
 //	brsmn_replans_total               counter    cache-miss replans
-//	brsmn_plan_patches_total{result}  counter    patched | full serving-path misses
+//	brsmn_plan_patches_total{result}  counter    patched | full plan misses (Plan and epoch refresh)
 //	brsmn_plan_patch_duration_seconds histogram  patched Plan: replay+flatten+encode
 //	brsmn_plan_patch_level            histogram  topmost replanned level per delta
 //	brsmn_plan_patch_delta_changes    histogram  changes replayed per patched Plan
@@ -17,16 +17,11 @@ package groupd
 //	brsmn_plan_cache_entries          gauge      live entries (capacity as its own gauge)
 //	brsmn_groups                      gauge      registered groups
 //	brsmn_pending_changes             gauge      membership churn since last epoch
-//	brsmn_planner_pool_ops_total{op}  counter    get | new | put | shrink
-//	brsmn_planner_arena_bytes{kind}   gauge      retained high-water | recent need
 //
-// Counters that subsystems already keep atomically (cache, pool) are
-// exposed as scrape-time funcs, so serving paths pay nothing extra.
+// Counters the cache already keeps atomically are exposed as
+// scrape-time funcs, so serving paths pay nothing extra.
 
-import (
-	"brsmn/internal/core"
-	"brsmn/internal/obs"
-)
+import "brsmn/internal/obs"
 
 // managerMetrics holds the instruments the manager updates inline.
 type managerMetrics struct {
@@ -105,23 +100,6 @@ func (m *Manager) registerMetrics(reg *obs.Registry) *managerMetrics {
 		func() float64 { return float64(m.Pending()) })
 	reg.CounterFunc(lbl("brsmn_epoch_number"), "Completed epoch count.",
 		func() float64 { return float64(m.Epoch()) })
-
-	pool := m.nw.Planners()
-	poolOp := func(name string, read func(core.PoolStats) uint64) {
-		reg.CounterFunc(lbl(`brsmn_planner_pool_ops_total{op="`+name+`"}`),
-			"Planner pool operations by kind (new = pool miss).",
-			func() float64 { return float64(read(pool.Stats())) })
-	}
-	poolOp("get", func(s core.PoolStats) uint64 { return s.Gets })
-	poolOp("new", func(s core.PoolStats) uint64 { return s.News })
-	poolOp("put", func(s core.PoolStats) uint64 { return s.Puts })
-	poolOp("shrink", func(s core.PoolStats) uint64 { return s.Shrinks })
-	reg.GaugeFunc(lbl(`brsmn_planner_arena_bytes{kind="highwater"}`),
-		"Planner arena retention: observed high-water and decayed recent need.",
-		func() float64 { return float64(pool.Stats().RetainedHighWaterBytes) })
-	reg.GaugeFunc(lbl(`brsmn_planner_arena_bytes{kind="need"}`),
-		"Planner arena retention: observed high-water and decayed recent need.",
-		func() float64 { return float64(pool.Stats().RecentNeedBytes) })
 
 	// Recovery series exist only on durable managers. m.recovered is
 	// written once in NewManager before registration, so scrape-time

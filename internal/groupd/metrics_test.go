@@ -46,8 +46,6 @@ func TestManagerMetricsAndTracing(t *testing.T) {
 		"brsmn_groups",
 		"brsmn_pending_changes",
 		"brsmn_epoch_number",
-		"brsmn_planner_pool_ops_total",
-		"brsmn_planner_arena_bytes",
 	} {
 		if !strings.Contains(text, family) {
 			t.Errorf("series %s missing from exposition", family)
@@ -57,6 +55,7 @@ func TestManagerMetricsAndTracing(t *testing.T) {
 		`brsmn_epochs_total{result="ok"} 1`,
 		`brsmn_plan_cache_ops_total{op="hit"}`,
 		`brsmn_plan_cache_ops_total{op="miss"}`,
+		`brsmn_plan_patches_total{result="full"} 1`,
 		`brsmn_groups 1`,
 		`brsmn_epoch_number 1`,
 	} {

@@ -3,46 +3,72 @@ package groupd
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"brsmn/internal/core"
+	"brsmn/internal/fabric"
 	"brsmn/internal/mcast"
 	"brsmn/internal/obs"
+	"brsmn/internal/plancodec"
 )
 
-// TestPlanPatchMatchesFullReplan is the serving-path differential: two
-// managers see the same churn, one with incremental patching and one
-// with it disabled, and every Plan blob must be byte-identical. The
-// churn mixes single steps (patchable), bursts past the threshold
-// (fallback), deletes and recreates under a reused ID (the stale-route
-// trap), and a second group competing for the retained planner.
+// refPlan is the reference plan of one group: a fresh core.Route of its
+// single-group assignment, filtered by pol when non-nil, then
+// fabric.Flatten and plancodec.Encode.
+func refPlan(t *testing.T, n, source int, members []int, pol FaultPolicy) ([]byte, int) {
+	t.Helper()
+	dests := make([][]int, n)
+	dests[source] = members
+	a, err := mcast.New(n, dests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pol != nil {
+		a, _ = pol.FilterAssignment(a)
+	}
+	res, err := core.Route(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols, err := fabric.Flatten(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := plancodec.Encode(n, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob, len(cols)
+}
+
+// TestPlanPatchMatchesFullReplan is the serving-path differential: a
+// manager sees seeded churn and every Plan blob must be byte-identical
+// to the reference plan of the group's membership. The churn mixes
+// single steps (patchable), bursts past the threshold (fallback),
+// deletes and recreates under a reused ID (the stale-route trap), and a
+// second group competing for the retained planner.
 func TestPlanPatchMatchesFullReplan(t *testing.T) {
 	const n = 64
 	reg := obs.NewRegistry()
 	patched := newTestManager(t, Config{N: n, Metrics: reg})
-	full := newTestManager(t, Config{N: n, PatchThreshold: -1})
 	rng := rand.New(rand.NewSource(9))
 
 	member := map[string]map[int]bool{}
+	source := map[string]int{}
 	create := func(id string, src int) {
 		mustCreate(t, patched, id, src, nil)
-		mustCreate(t, full, id, src, nil)
-		member[id] = map[int]bool{}
+		member[id], source[id] = map[int]bool{}, src
 	}
 	flip := func(id string, d int) {
 		if member[id][d] {
 			if _, err := patched.Leave(id, d); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := full.Leave(id, d); err != nil {
-				t.Fatal(err)
-			}
 			delete(member[id], d)
 		} else {
 			if _, err := patched.Join(id, d); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := full.Join(id, d); err != nil {
 				t.Fatal(err)
 			}
 			member[id][d] = true
@@ -54,13 +80,15 @@ func TestPlanPatchMatchesFullReplan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("patched Plan(%q): %v", id, err)
 		}
-		want, err := full.Plan(id)
-		if err != nil {
-			t.Fatalf("full Plan(%q): %v", id, err)
+		var members []int
+		for d := range member[id] {
+			members = append(members, d)
 		}
-		if !bytes.Equal(got.Blob, want.Blob) || got.Columns != want.Columns {
+		slices.Sort(members)
+		blob, cols := refPlan(t, n, source[id], members, nil)
+		if !bytes.Equal(got.Blob, blob) || got.Columns != cols {
 			t.Fatalf("Plan(%q) diverged: %d columns %d bytes vs %d columns %d bytes",
-				id, got.Columns, len(got.Blob), want.Columns, len(want.Blob))
+				id, got.Columns, len(got.Blob), cols, len(blob))
 		}
 	}
 
@@ -88,9 +116,6 @@ func TestPlanPatchMatchesFullReplan(t *testing.T) {
 			if err := patched.Delete("a"); err != nil {
 				t.Fatal(err)
 			}
-			if err := full.Delete("a"); err != nil {
-				t.Fatal(err)
-			}
 			create("a", 5)
 			flip("a", 7)
 			check("a")
@@ -104,41 +129,6 @@ func TestPlanPatchMatchesFullReplan(t *testing.T) {
 	}
 	if miss == 0 {
 		t.Fatalf("churn never fell back to a full replan (patched=%d)", hit)
-	}
-}
-
-// TestPlanPatchDisabled pins the opt-out: a negative threshold keeps
-// Plan on the pool replan path and never seeds the retained route.
-func TestPlanPatchDisabled(t *testing.T) {
-	const n = 16
-	m := newTestManager(t, Config{N: n, PatchThreshold: -1})
-	mustCreate(t, m, "g", 0, []int{1, 2})
-	if _, err := m.Plan("g"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Join("g", 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Plan("g"); err != nil {
-		t.Fatal(err)
-	}
-	if m.patch.ok || m.patch.pl != nil {
-		t.Fatalf("disabled patching still seeded the retained route: %+v", m.patch.ok)
-	}
-}
-
-// TestPlanPatchThresholdCap pins the config normalization: the default
-// is 8 and the ring depth caps explicit values.
-func TestPlanPatchThresholdCap(t *testing.T) {
-	c := Config{N: 8}
-	c.applyDefaults()
-	if c.PatchThreshold != 8 {
-		t.Fatalf("default PatchThreshold = %d, want 8", c.PatchThreshold)
-	}
-	c = Config{N: 8, PatchThreshold: 100}
-	c.applyDefaults()
-	if c.PatchThreshold != chgRing {
-		t.Fatalf("PatchThreshold = %d, want capped at %d", c.PatchThreshold, chgRing)
 	}
 }
 
@@ -189,47 +179,37 @@ func (p *fakePatchPolicy) set(version uint64, drop int) {
 }
 
 // TestPlanPatchWithPolicy pins the fault-policy interaction: patching
-// runs while the filter is a healthy no-op, stops (full replans,
-// filtered plans byte-identical to a non-patching manager's) while a
-// fault is localized, and resumes after the fault clears and the
-// version moves again.
+// runs while the filter is a healthy no-op, stops (full replans, each
+// byte-identical to the reference plan of the filtered membership)
+// while a fault is localized, and resumes after the fault clears and
+// the version moves again.
 func TestPlanPatchWithPolicy(t *testing.T) {
 	const n = 64
 	reg := obs.NewRegistry()
 	pol := &fakePatchPolicy{drop: -1}
-	polFull := &fakePatchPolicy{drop: -1}
 	m := newTestManager(t, Config{N: n, Metrics: reg, Policy: pol})
-	full := newTestManager(t, Config{N: n, PatchThreshold: -1, Policy: polFull})
 
-	mustCreate(t, m, "g", 0, []int{1, 3, 5, 7})
-	mustCreate(t, full, "g", 0, []int{1, 3, 5, 7})
+	members := []int{1, 3, 5, 7}
+	mustCreate(t, m, "g", 0, members)
 	step := func(join int) {
 		t.Helper()
 		if _, err := m.Join("g", join); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := full.Join("g", join); err != nil {
-			t.Fatal(err)
-		}
+		members = append(members, join)
+		slices.Sort(members)
 		got, err := m.Plan("g")
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := full.Plan("g")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Blob, want.Blob) {
-			t.Fatalf("join %d: patched-manager plan diverged from full replan", join)
+		if want, _ := refPlan(t, n, 0, members, pol); !bytes.Equal(got.Blob, want) {
+			t.Fatalf("join %d: plan diverged from the reference plan", join)
 		}
 	}
 
 	// Healthy policy: the warming Plan seeds a patchable route, churn
 	// patches.
 	if _, err := m.Plan("g"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := full.Plan("g"); err != nil {
 		t.Fatal(err)
 	}
 	step(2)
@@ -241,7 +221,6 @@ func TestPlanPatchWithPolicy(t *testing.T) {
 	// retained route (planned under version 0) must not serve, and the
 	// filtered reseed must not be marked patchable.
 	pol.set(1, 3)
-	polFull.set(1, 3)
 	step(4)
 	step(6)
 	if v := m.met.patched.Value(); v != 1 {
@@ -253,7 +232,6 @@ func TestPlanPatchWithPolicy(t *testing.T) {
 
 	// Fault cleared: the first miss reseeds, the next patches again.
 	pol.set(2, -1)
-	polFull.set(2, -1)
 	step(8)
 	step(9)
 	if v := m.met.patched.Value(); v != 2 {
@@ -306,5 +284,69 @@ func TestPlanPatchSingleChurn(t *testing.T) {
 	}
 	if v := m.met.patchLevel.Count(); v != 20 {
 		t.Fatalf("level histogram count = %d, want 20", v)
+	}
+}
+
+// flipPolicy is a fakePatchPolicy on which a fault at output 3 is
+// localized (version 1) right after its first filter: a detection
+// landing between a plan's filter and its cache put.
+type flipPolicy struct {
+	fakePatchPolicy
+	once sync.Once
+}
+
+func (p *flipPolicy) FilterAssignment(a mcast.Assignment) (mcast.Assignment, []int) {
+	out, rejected := p.fakePatchPolicy.FilterAssignment(a)
+	p.once.Do(func() { p.set(1, 3) })
+	return out, rejected
+}
+
+// TestPlanPolicyVersionRace checks that a plan is cached under the
+// policy version read before its filter ran: the first Plan, filtered
+// while the fabric was healthy, must not be served at version 1, and
+// the second must route around output 3.
+func TestPlanPolicyVersionRace(t *testing.T) {
+	const n = 16
+	pol := &flipPolicy{fakePatchPolicy: fakePatchPolicy{drop: -1}}
+	m := newTestManager(t, Config{N: n, Policy: pol})
+	mustCreate(t, m, "g", 0, []int{1, 3, 5})
+	if _, err := m.Plan("g"); err != nil {
+		t.Fatal(err)
+	}
+	pi, err := m.Plan("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pi.Cached {
+		t.Fatal("Plan at version 1 hit the plan filtered at version 0")
+	}
+	want, _ := refPlan(t, n, 0, []int{1, 5}, nil)
+	if !bytes.Equal(pi.Blob, want) {
+		t.Fatal("Plan at version 1 still delivers to output 3")
+	}
+}
+
+// TestEpochRefreshPatches checks that the epoch's per-group refresh
+// takes the patch path: a group planned once and then joined is rolled
+// forward by a patch, not routed in full.
+func TestEpochRefreshPatches(t *testing.T) {
+	m := newTestManager(t, Config{N: 64, Metrics: obs.NewRegistry()})
+	mustCreate(t, m, "g", 0, []int{1, 2, 9})
+	if _, err := m.Plan("g"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Join("g", 3); err != nil {
+		t.Fatal(err)
+	}
+	before := m.met.patched.Value()
+	if _, err := m.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.met.patched.Value() - before; got != 1 {
+		t.Fatalf("epoch refresh patched %d plans, want 1", got)
+	}
+	want, _ := refPlan(t, 64, 0, []int{1, 2, 3, 9}, nil)
+	if pi, err := m.Plan("g"); err != nil || !pi.Cached || !bytes.Equal(pi.Blob, want) {
+		t.Fatalf("Plan after the epoch: cached %v, err %v, or blob differs from the reference", pi.Cached, err)
 	}
 }

@@ -1,13 +1,15 @@
 // Package shard is the multi-fabric serving layer: it partitions the
 // long-lived multicast groups of internal/groupd across K independent
 // planner shards, each a full vertical slice of the single-fabric
-// service — its own core.Network (and with it a private PlannerPool),
-// plan cache, epoch scheduler, and fault policy. One epoch loop over
-// one fabric serializes every group through the same planner; K shards
-// admit traffic onto K switching planes in parallel, which is where the
-// serving layer's throughput comes from (the same batched-admission
-// idea the wormhole multi-lane MIN and optical multicast service
-// literature applies at the fabric level).
+// service — its own groupd.Manager with its two planners (one for
+// serving plan misses, one for the epoch), plan cache, epoch scheduler,
+// and fault policy. The shard's one worker makes its manager's Plan
+// calls one at a time, so a manager needs no planner pool. One epoch
+// loop over one fabric serializes every group through the same planner;
+// K shards admit traffic onto K switching planes in parallel, which is
+// where the serving layer's throughput comes from (the same
+// batched-admission idea the wormhole multi-lane MIN and optical
+// multicast service literature applies at the fabric level).
 //
 // Three cooperating mechanisms:
 //
@@ -96,8 +98,8 @@ type Config struct {
 	// AdmitWait is how long admission exerts backpressure on a full
 	// queue before shedding with ErrOverloaded (default 20ms).
 	AdmitWait time.Duration
-	// Group is the per-shard groupd.Config template: N, Engine, cache
-	// size, epoch period/threshold, workers, metrics registry, tracer.
+	// Group is the per-shard groupd.Config template: N, cache size,
+	// epoch period/threshold, metrics registry, tracer.
 	Group groupd.Config
 	// NewPolicy, when non-nil, builds shard i's fault policy. Policies
 	// that also implement HealthReporter arm automatic quarantine.
@@ -154,7 +156,7 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Shard is one serving plane: a full groupd.Manager (planner pool, plan
+// Shard is one serving plane: a full groupd.Manager (two planners, plan
 // cache, epoch loop) plus its admission queue and worker.
 type Shard struct {
 	id    int
